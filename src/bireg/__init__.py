@@ -26,7 +26,6 @@ from .graph import (
     complete_bipartite,
     full_adjacency,
     load_graph,
-    new_biregular,
     save_graph,
     scaled_gram,
 )
@@ -61,7 +60,6 @@ from .spectra import (
 )
 from .switching import (
     Cycle,
-    ForwardSwitchingSpec,
     SwitchingSpec,
     apply_backward,
     apply_forward,

@@ -13,6 +13,10 @@ class DegreeMismatch(BiregError):
     """A row or column of the biadjacency matrix has the wrong sum."""
 
 
+class MalformedEdgeList(BiregError):
+    """An edge list is not an (E, 2) array of integer (i, j) pairs."""
+
+
 class DuplicateEdge(BiregError):
     """The same (i, j) pair appears more than once."""
 
@@ -59,3 +63,7 @@ class SolverFailure(BiregError):
 
 class DuplicateHyperedge(BiregError):
     """Two hyperedges contain exactly the same vertex set."""
+
+
+class UnknownConfigKey(BiregError):
+    """A config names a parameter that its target does not accept."""

@@ -8,6 +8,7 @@ full parameter set, summary statistics, and the distance diagnostics.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -19,8 +20,8 @@ from scipy import stats
 
 from . import chebyshev, spectra, walks
 from .chebyshev import ChebExpansion
-from .graph import BiregularGraph, gram_shifted
-from .sampler import SamplerConfig, sample_graph, trial_rng
+from .graph import BiregularGraph, gram_shifted_sparse
+from .sampler import SamplerConfig, check_config_keys, sample_graph, trial_rng
 
 
 def poisson_cycle_mean(k: int, d1: int, d2: int) -> float:
@@ -142,28 +143,22 @@ def cycle_count_vector(g: BiregularGraph, r: int) -> list:
 
     C_2 = sum_{i<l} C(codeg, 2); 6*C_3 = tr(A1^3) - 3(d2-2)(tr(P^2) - m d1 d2)
     + 2 m d2(d2-1)(d2-2) with P = XX^T, A1 = P - d1 I (mediator-coincidence
-    inclusion-exclusion; cross-validated against the DFS enumerator).
+    inclusion-exclusion; cross-validated against the DFS enumerator).  Both
+    come from the sparse A1 in exact integer arithmetic.
     """
     out = []
     if r >= 2:
-        # float64 BLAS keeps the products exact here (entries <= d1 << 2^53)
-        if g.n * g.m <= 4_000_000:
-            x = g.biadjacency.astype(np.float64)
-            p = x @ x.T
-            np.fill_diagonal(p, 0.0)
-        else:
-            p = gram_shifted(g).astype(np.float64)
-        c2 = float((p * (p - 1)).sum()) / 4.0
-        out.append(int(round(c2)))
+        # int64 sums are exact: at most n*d1*d2 co-degrees, each at most d1
+        a1 = gram_shifted_sparse(g)
+        codeg = a1.data
+        out.append(int((codeg * (codeg - 1)).sum()) // 4)
     if r >= 3:
-        d1, d2, m = g.d1, g.d2, g.m
-        a1sq = p @ p
-        tr_a1_cubed = float((a1sq * p).sum())
-        # tr(P^2) from A1 = P - d1 I: tr(P^2) = tr(A1^2) + 2 d1 tr(P) - n d1^2
-        tr_p2 = float(np.trace(a1sq)) + g.n * d1 * d1
+        n, m, d1, d2 = g.n, g.m, g.d1, g.d2
+        tr_a1_cubed = int((a1 @ a1).multiply(a1).sum())
+        # tr(P^2) = tr(A1^2) + n d1^2, and tr(A1^2) = sum of squared entries
+        tr_p2 = int((codeg * codeg).sum()) + n * d1 * d1
         s_sum = tr_p2 - m * d1 * d2
-        c3 = (tr_a1_cubed - 3 * (d2 - 2) * s_sum + 2 * m * d2 * (d2 - 1) * (d2 - 2)) / 6.0
-        out.append(int(round(c3)))
+        out.append((tr_a1_cubed - 3 * (d2 - 2) * s_sum + 2 * m * d2 * (d2 - 1) * (d2 - 2)) // 6)
     for k in range(4, r + 1):
         out.append(walks.count_cycles(g, k))
     return out
@@ -502,24 +497,32 @@ def globallaw_experiment(
 # ---------------------------------------------------------------------------
 
 
+EXPERIMENTS = {
+    "poisson": poisson_experiment,
+    "fluctuation-fixed": fluctuation_experiment_fixed,
+    "fluctuation-growing": fluctuation_experiment_growing,
+    "globallaw": globallaw_experiment,
+}
+
+
 def run_experiment(config: dict) -> ExperimentReport:
     """Dispatch a config dict: {"experiment": name, "seed": s, "params": {...}}."""
     name = config["experiment"]
     seed = int(config.get("seed", 0))
     params = dict(config.get("params", {}))
-    if name == "poisson":
-        return poisson_experiment(seed=seed, **params)
+    if name not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {name!r}")
+    fn = EXPERIMENTS[name]
+    # the seed is a top-level config key, not a parameter
+    allowed = set(inspect.signature(fn).parameters) - {"seed"}
+    check_config_keys(f"{name} params", params, allowed)
     if name == "fluctuation-fixed":
         params["expansion"] = _expansion_from_config(params.pop("expansion"), params.get("d1"))
-        return fluctuation_experiment_fixed(seed=seed, **params)
     if name == "fluctuation-growing":
         params["expansions"] = [
             _expansion_from_config(e, params.get("d1")) for e in params.pop("expansions")
         ]
-        return fluctuation_experiment_growing(seed=seed, **params)
-    if name == "globallaw":
-        return globallaw_experiment(seed=seed, **params)
-    raise ValueError(f"unknown experiment {name!r}")
+    return fn(seed=seed, **params)
 
 
 def _expansion_from_config(spec, d1):

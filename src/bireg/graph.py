@@ -2,8 +2,9 @@
 
 A (n, m, d1, d2)-biregular bipartite graph has vertex classes V1 = [n] and
 V2 = [m]; every V1 vertex has degree d1 and every V2 vertex degree d2, which
-forces n*d1 = m*d2.  Graphs are immutable value objects; all derived views
-(biadjacency, adjacency lists, Gram matrix) are cached on first use.
+forces n*d1 = m*d2.  Graphs are immutable value objects stored as one sorted
+array of edge keys; the derived views (edge tuple, adjacency arrays, sparse
+biadjacency) are built from it on first use and cached.
 """
 
 from __future__ import annotations
@@ -14,16 +15,18 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .errors import (
     BalanceViolation,
     DegenerateScaling,
     DegreeMismatch,
     DuplicateEdge,
+    MalformedEdgeList,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class BiregularGraph:
     """Simple bipartite graph with constant degrees on both sides.
 
@@ -33,41 +36,53 @@ class BiregularGraph:
         Sizes of V1 and V2.
     d1, d2 : int
         Degrees of V1 and V2 vertices.
-    edges : tuple of (int, int)
-        Sorted tuple of (i, j) pairs, i in [n], j in [m].
+    edges : (E, 2) array-like of int
+        The (i, j) pairs, i in [n], j in [m], in any order.
+
+    The only stored form is ``keys``: the sorted int64 array of i*m + j, one
+    per edge.  Sorting by key sorts by (i, j), so row i of the graph is the
+    slice keys[i*d1 : (i+1)*d1].
     """
 
     n: int
     m: int
     d1: int
     d2: int
-    edges: tuple
+    keys: np.ndarray
 
-    def __post_init__(self):
-        n, m, d1, d2 = self.n, self.m, self.d1, self.d2
+    def __init__(self, n, m, d1, d2, edges):
         if min(n, m, d1, d2) < 1:
             raise ValueError("n, m, d1, d2 must all be >= 1")
         if n * d1 != m * d2:
             raise BalanceViolation(f"n*d1 = {n * d1} != m*d2 = {m * d2}")
-        edges = tuple(sorted((int(i), int(j)) for i, j in self.edges))
-        object.__setattr__(self, "edges", edges)
-        if len(set(edges)) != len(edges):
+        try:
+            pairs = np.asarray(edges, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedEdgeList(f"edges are not integer pairs: {exc}") from exc
+        if pairs.size == 0:
+            pairs = np.empty((0, 2), dtype=np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise MalformedEdgeList(f"edges must have shape (E, 2), got {pairs.shape}")
+        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+        i, j = pairs[order, 0], pairs[order, 1]
+        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
             raise DuplicateEdge("repeated (i, j) pair")
-        if len(edges) != n * d1:
-            raise DegreeMismatch(f"expected {n * d1} edges, got {len(edges)}")
-        row = [0] * n
-        col = [0] * m
-        for i, j in edges:
-            if not (0 <= i < n and 0 <= j < m):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            row[i] += 1
-            col[j] += 1
-        bad = next((i for i in range(n) if row[i] != d1), None)
-        if bad is not None:
-            raise DegreeMismatch(f"V1 vertex {bad} has degree {row[bad]} != d1={d1}")
-        bad = next((j for j in range(m) if col[j] != d2), None)
-        if bad is not None:
-            raise DegreeMismatch(f"V2 vertex {bad} has degree {col[bad]} != d2={d2}")
+        if len(i) != n * d1:
+            raise DegreeMismatch(f"expected {n * d1} edges, got {len(i)}")
+        outside = (i < 0) | (i >= n) | (j < 0) | (j >= m)
+        if outside.any():
+            e = int(np.argmax(outside))
+            raise ValueError(f"edge ({i[e]}, {j[e]}) out of range")
+        for ends, size, side, name, want in ((i, n, "V1", "d1", d1), (j, m, "V2", "d2", d2)):
+            degrees = np.bincount(ends, minlength=size)
+            bad = np.flatnonzero(degrees != want)
+            if bad.size:
+                v = bad[0]
+                raise DegreeMismatch(f"{side} vertex {v} has degree {degrees[v]} != {name}={want}")
+        keys = i * m + j
+        keys.flags.writeable = False
+        for name, value in (("n", n), ("m", m), ("d1", d1), ("d2", d2), ("keys", keys)):
+            object.__setattr__(self, name, value)
 
     # ---- derived views (cached, read-only) -------------------------------
 
@@ -76,33 +91,39 @@ class BiregularGraph:
         return (self.d1 - 1) * (self.d2 - 1)
 
     @cached_property
+    def edges(self) -> tuple:
+        """Sorted tuple of (i, j) pairs of Python ints."""
+        i, j = np.divmod(self.keys, self.m)
+        return tuple(zip(i.tolist(), j.tolist()))
+
+    @cached_property
     def edge_set(self) -> frozenset:
         return frozenset(self.edges)
 
     @cached_property
-    def adjacency_left(self) -> tuple:
-        """adjacency_left[i] = sorted tuple of V2 neighbours of i."""
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-        return tuple(tuple(sorted(a)) for a in adj)
+    def adjacency_left(self) -> np.ndarray:
+        """(n, d1) array; row i holds the V2 neighbours of i, ascending."""
+        left = (self.keys % self.m).reshape(self.n, self.d1)
+        left.flags.writeable = False
+        return left
 
     @cached_property
-    def adjacency_right(self) -> tuple:
-        """adjacency_right[j] = sorted tuple of V1 neighbours of j."""
-        adj = [[] for _ in range(self.m)]
-        for i, j in self.edges:
-            adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
+    def adjacency_right(self) -> np.ndarray:
+        """(m, d2) array; row j holds the V1 neighbours of j, ascending."""
+        # a stable sort by j keeps each column's V1 vertices in key order
+        order = np.argsort(self.keys % self.m, kind="stable")
+        right = (self.keys // self.m)[order].reshape(self.m, self.d2)
+        right.flags.writeable = False
+        return right
 
     @cached_property
-    def biadjacency(self) -> np.ndarray:
-        """Dense 0/1 matrix X of shape (n, m); X[i, j] = 1 iff (i, j) is an edge."""
-        x = np.zeros((self.n, self.m), dtype=np.int64)
-        rows = [e[0] for e in self.edges]
-        cols = [e[1] for e in self.edges]
-        x[rows, cols] = 1
-        return x
+    def biadjacency(self) -> sparse.csr_array:
+        """Sparse 0/1 matrix X of shape (n, m); X[i, j] = 1 iff (i, j) is an edge."""
+        e = len(self.keys)
+        return sparse.csr_array(
+            (np.ones(e, dtype=np.int64), self.keys % self.m, np.arange(0, e + 1, self.d1)),
+            shape=(self.n, self.m),
+        )
 
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edge_set
@@ -110,16 +131,11 @@ class BiregularGraph:
     def __eq__(self, other):
         if not isinstance(other, BiregularGraph):
             return NotImplemented
-        return (self.n, self.m, self.d1, self.d2, self.edges) == (
-            other.n,
-            other.m,
-            other.d1,
-            other.d2,
-            other.edges,
-        )
+        same_shape = (self.n, self.m, self.d1, self.d2) == (other.n, other.m, other.d1, other.d2)
+        return same_shape and np.array_equal(self.keys, other.keys)
 
     def __hash__(self):
-        return hash((self.n, self.m, self.d1, self.d2, self.edges))
+        return hash((self.n, self.m, self.d1, self.d2, self.keys.tobytes()))
 
     # ---- serialization ---------------------------------------------------
 
@@ -129,7 +145,7 @@ class BiregularGraph:
             "m": self.m,
             "d1": self.d1,
             "d2": self.d2,
-            "edges": [list(e) for e in self.edges],
+            "edges": np.column_stack(np.divmod(self.keys, self.m)).tolist(),
         }
 
     @classmethod
@@ -139,7 +155,7 @@ class BiregularGraph:
             m=int(data["m"]),
             d1=int(data["d1"]),
             d2=int(data["d2"]),
-            edges=tuple((int(i), int(j)) for i, j in data["edges"]),
+            edges=data["edges"],
         )
 
 
@@ -153,23 +169,11 @@ class ScaledGramMatrix:
 
     matrix: np.ndarray
     q: int
-    n: int
-    d1: int
-    d2: int
-
-    @property
-    def top_eigenvalue_exact(self) -> float:
-        return self.d1 * (self.d2 - 1) / np.sqrt(self.q)
-
-
-def new_biregular(n, m, d1, d2, edges) -> BiregularGraph:
-    """Validated constructor; see BiregularGraph for the field contracts."""
-    return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=tuple(edges))
 
 
 def complete_bipartite(n: int, m: int) -> BiregularGraph:
     """K_{n,m}: all n*m edges present, so d1 = m and d2 = n."""
-    edges = tuple((i, j) for i in range(n) for j in range(m))
+    edges = np.column_stack(np.divmod(np.arange(n * m), m))
     return BiregularGraph(n=n, m=m, d1=m, d2=n, edges=edges)
 
 
@@ -179,33 +183,29 @@ def full_adjacency(g: BiregularGraph) -> np.ndarray:
     Its spectrum is {+/- sigma_i(X)} plus |n - m| zeros; the extreme
     eigenvalues are +/- sqrt(d1*d2).
     """
-    x = g.biadjacency
+    i, j = np.divmod(g.keys, g.m)
     a = np.zeros((g.n + g.m, g.n + g.m), dtype=np.int64)
-    a[: g.n, g.n :] = x
-    a[g.n :, : g.n] = x.T
+    a[i, g.n + j] = 1
+    a[g.n + j, i] = 1
     return a
 
 
-def gram_shifted(g: BiregularGraph) -> np.ndarray:
-    """Integer matrix X X^T - d1 I (exactly symmetric, zero diagonal).
+def gram_shifted_sparse(g: BiregularGraph) -> sparse.csr_array:
+    """X X^T - d1 I as a sparse int64 matrix, with its zero diagonal dropped.
 
-    Very lopsided graphs (large m) go through a sparse product so the dense
-    n x m biadjacency never materializes.
+    Row i has at most 1 + d1*(d2-1) stored entries, so the product costs
+    O(n d1 d2) whatever the shape of X.
     """
-    if g.n * g.m > 4_000_000:
-        from scipy import sparse
+    x = g.biadjacency
+    p = x @ x.T
+    p.setdiag(p.diagonal() - g.d1)
+    p.eliminate_zeros()
+    return p
 
-        rows = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=len(g.edges))
-        cols = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=len(g.edges))
-        x = sparse.csr_matrix(
-            (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(g.n, g.m)
-        )
-        p = (x @ x.T).toarray()
-        return p - g.d1 * np.eye(g.n, dtype=np.int64)
-    # float64 BLAS, exact: co-degrees are at most min(d1, d2) << 2^53
-    x = g.biadjacency.astype(np.float64)
-    p = np.rint(x @ x.T).astype(np.int64)
-    return p - g.d1 * np.eye(g.n, dtype=np.int64)
+
+def gram_shifted(g: BiregularGraph) -> np.ndarray:
+    """Integer matrix X X^T - d1 I (exactly symmetric, zero diagonal)."""
+    return gram_shifted_sparse(g).toarray()
 
 
 def scaled_gram(g: BiregularGraph) -> ScaledGramMatrix:
@@ -213,7 +213,7 @@ def scaled_gram(g: BiregularGraph) -> ScaledGramMatrix:
     if g.d1 == 1 or g.d2 == 1:
         raise DegenerateScaling(f"(d1-1)(d2-1) = 0 for d1={g.d1}, d2={g.d2}")
     m = gram_shifted(g).astype(np.float64) / np.sqrt(g.q)
-    return ScaledGramMatrix(matrix=m, q=g.q, n=g.n, d1=g.d1, d2=g.d2)
+    return ScaledGramMatrix(matrix=m, q=g.q)
 
 
 def save_graph(g: BiregularGraph, path) -> None:

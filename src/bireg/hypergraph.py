@@ -94,16 +94,14 @@ def to_bipartite(h: RegularHypergraph) -> BiregularGraph:
 
 def from_bipartite(g: BiregularGraph) -> RegularHypergraph:
     """Inverse map; fails when two V2 vertices share their full neighbourhood."""
-    hes = tuple(g.adjacency_right)
-    if len(set(hes)) != len(hes):
+    if not has_simple_image(g):
         raise DuplicateHyperedge("two V2 vertices have identical neighbourhoods")
-    return RegularHypergraph(n=g.n, d1=g.d1, d2=g.d2, hyperedges=hes)
+    return RegularHypergraph(n=g.n, d1=g.d1, d2=g.d2, hyperedges=g.adjacency_right.tolist())
 
 
 def has_simple_image(g: BiregularGraph) -> bool:
     """Whether g corresponds to a simple hypergraph (distinct V2 neighbourhoods)."""
-    hes = g.adjacency_right
-    return len(set(hes)) == len(hes)
+    return len(np.unique(g.adjacency_right, axis=0)) == g.m
 
 
 def hypergraph_adjacency(h: RegularHypergraph) -> np.ndarray:

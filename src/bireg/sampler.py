@@ -20,7 +20,7 @@ trials derive independent streams via ``trial_rng(seed, trial_index)``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .errors import (
     RejectionBudgetExceeded,
     SeedConstructionFailed,
     TooLarge,
+    UnknownConfigKey,
 )
 from .graph import BiregularGraph
 
@@ -65,18 +66,12 @@ class SamplerConfig:
             raise ValueError("mcmc_steps must be >= 1 for the switch chain")
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "mcmc_steps": self.mcmc_steps,
-            "seed": self.seed,
-            "max_rejections": self.max_rejections,
-            "burnin_factor": self.burnin_factor,
-            "dense_threshold": self.dense_threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SamplerConfig":
-        return cls(**{k: data[k] for k in data})
+        check_config_keys("sampler config", data, {f.name for f in fields(cls)})
+        return cls(**data)
 
     def resolve_method(self, n: int, m: int, d1: int, d2: int) -> str:
         if self.method != "auto":
@@ -90,6 +85,16 @@ class SamplerConfig:
         return "exact-rejection"
 
 
+def check_config_keys(where: str, data: dict, allowed: set) -> None:
+    """Raise UnknownConfigKey naming every key of data outside allowed."""
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise UnknownConfigKey(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+
+
 def _check_params(n, m, d1, d2):
     if min(n, m, d1, d2) < 1:
         raise ValueError("n, m, d1, d2 must all be >= 1")
@@ -100,22 +105,21 @@ def _check_params(n, m, d1, d2):
 
 
 def _matching_edges(n, m, d1, d2, rng):
-    """One configuration-model matching; returns edges or None if not simple."""
+    """One configuration-model matching; (E, 2) edges, or None if not simple."""
     rows = np.repeat(np.arange(n, dtype=np.int64), d1)
     cols = rng.permutation(np.repeat(np.arange(m, dtype=np.int64), d2))
     keys = rows * m + cols
     if np.unique(keys).size != keys.size:
         return None
-    return keys
+    return np.column_stack((rows, cols))
 
 
 def sample_configuration(n, m, d1, d2, rng, max_rejections=10000) -> BiregularGraph:
     """Exactly uniform sample by stub matching with rejection of multi-edges."""
     _check_params(n, m, d1, d2)
     for _ in range(max_rejections):
-        keys = _matching_edges(n, m, d1, d2, rng)
-        if keys is not None:
-            edges = tuple((int(k) // m, int(k) % m) for k in np.sort(keys))
+        edges = _matching_edges(n, m, d1, d2, rng)
+        if edges is not None:
             return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=edges)
     raise RejectionBudgetExceeded(
         f"no simple matching in {max_rejections} attempts "
@@ -128,13 +132,12 @@ def seed_graph(n, m, d1, d2) -> BiregularGraph:
     _check_params(n, m, d1, d2)
     if d1 > m:
         raise SeedConstructionFailed("d1 > m")
-    edges = tuple((i, (i * d1 + t) % m) for i in range(n) for t in range(d1))
-    return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=edges)
+    i, t = np.divmod(np.arange(n * d1), d1)
+    return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack((i, (i * d1 + t) % m)))
 
 
 def _run_chain(g: BiregularGraph, rng, burnin_target, steps):
-    u = np.array([e[0] for e in g.edges], dtype=np.int64)
-    v = np.array([e[1] for e in g.edges], dtype=np.int64)
+    u, v = np.divmod(g.keys, g.m)
     present = np.zeros((g.n, g.m), dtype=np.bool_)
     present[u, v] = True
     ne = len(u)
@@ -159,14 +162,13 @@ def _run_chain(g: BiregularGraph, rng, burnin_target, steps):
         block = min(PROPOSAL_BLOCK, steps - done)
         run_block(block)
         done += block
-    edges = tuple(sorted(zip(u.tolist(), v.tolist())))
-    return BiregularGraph(n=g.n, m=g.m, d1=g.d1, d2=g.d2, edges=edges)
+    return BiregularGraph(n=g.n, m=g.m, d1=g.d1, d2=g.d2, edges=np.column_stack((u, v)))
 
 
 def sample_switch_chain(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGraph:
     """Approximately uniform sample from a fresh double-edge-swap chain."""
     g0 = seed_graph(n, m, d1, d2)
-    burnin_target = config.burnin_factor * len(g0.edges)
+    burnin_target = config.burnin_factor * len(g0.keys)
     return _run_chain(g0, rng, burnin_target, config.mcmc_steps)
 
 

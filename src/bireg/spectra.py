@@ -37,7 +37,6 @@ class SpectrumSample:
     d1: int
     d2: int
     q: int
-    residual: float
 
     @property
     def top_exact(self) -> float:
@@ -62,10 +61,7 @@ def eigenvalues(g: BiregularGraph) -> SpectrumSample:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise SolverFailure(str(exc)) from exc
     lam = np.sort(lam)[::-1]
-    residual = float(len(lam) * np.finfo(np.float64).eps * max(1.0, np.abs(lam).max()))
-    return SpectrumSample(
-        eigenvalues=lam, n=g.n, m=g.m, d1=g.d1, d2=g.d2, q=gram.q, residual=residual
-    )
+    return SpectrumSample(eigenvalues=lam, n=g.n, m=g.m, d1=g.d1, d2=g.d2, q=gram.q)
 
 
 def linear_statistic(sample: SpectrumSample, f) -> float:

@@ -119,9 +119,6 @@ class SwitchingSpec:
         return out
 
 
-ForwardSwitchingSpec = SwitchingSpec
-
-
 def short_cycles(g: BiregularGraph, r: int, budget: int = SWITCH_BUDGET) -> list:
     """All simple cycles of length 2k for 2 <= k <= r, canonical, each once."""
     if r < 2:
@@ -231,21 +228,14 @@ def _cycles_through_edge(adj1, adj2, a, b, rmax):
 
 
 def _modified_adjacency(g, removed, added):
-    adj1 = {}
-    adj2 = {}
-    for i, j in list(removed) + list(added):
-        if i not in adj1:
-            adj1[i] = set(g.adjacency_left[i])
-        if j not in adj2:
-            adj2[j] = set(g.adjacency_right[j])
+    full1 = dict(enumerate(map(set, g.adjacency_left.tolist())))
+    full2 = dict(enumerate(map(set, g.adjacency_right.tolist())))
     for i, j in removed:
-        adj1[i].discard(j)
-        adj2[j].discard(i)
+        full1[i].discard(j)
+        full2[j].discard(i)
     for i, j in added:
-        adj1[i].add(j)
-        adj2[j].add(i)
-    full1 = {i: adj1.get(i, set(g.adjacency_left[i])) for i in range(g.n)}
-    full2 = {j: adj2.get(j, set(g.adjacency_right[j])) for j in range(g.m)}
+        full1[i].add(j)
+        full2[j].add(i)
     return full1, full2
 
 
@@ -337,8 +327,8 @@ def _enumerate_forward(g, alpha, r, cycle_edges, budget):
     free_edges = [e for e in g.edges if e not in cycle_edges]
     options = []
     for i in range(k):
-        nx = set(g.adjacency_left[xs[i]])
-        ny = set(g.adjacency_right[ys[i]])
+        nx = set(g.adjacency_left[xs[i]].tolist())
+        ny = set(g.adjacency_right[ys[i]].tolist())
         options.append([(u, v) for (u, v) in free_edges if u not in ny and v not in nx])
     budget_state = [0, budget]
     e_tuples = _distinct_tuples(options, key=lambda e: e[0], budget_state=budget_state)
@@ -372,8 +362,8 @@ def _enumerate_backward(g, alpha, r, cycle_edges, budget):
     # edges lie on no short cycle (they get deleted)
     v_opts, u_opts = [], []
     for i in range(k):
-        vs = [v for v in g.adjacency_left[xs[i]] if (xs[i], v) not in cycle_edges]
-        us = [u for u in g.adjacency_right[ys[i]] if (u, ys[i]) not in cycle_edges]
+        vs = [v for v in g.adjacency_left[xs[i]].tolist() if (xs[i], v) not in cycle_edges]
+        us = [u for u in g.adjacency_right[ys[i]].tolist() if (u, ys[i]) not in cycle_edges]
         v_opts.append([(v, vp) for v in vs for vp in vs if v != vp])
         u_opts.append([(u, up) for u in us for up in us if u != up])
     alpha_created = alpha.edge_list()

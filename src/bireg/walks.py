@@ -48,8 +48,8 @@ def enumerate_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET):
     """
     if k < 2:
         return
-    adj1 = g.adjacency_left
-    adj2 = g.adjacency_right
+    adj1 = g.adjacency_left.tolist()
+    adj2 = g.adjacency_right.tolist()
     steps = 0
 
     def extend(x1, xs, ys):
@@ -162,8 +162,8 @@ def closed_walk_counts(g: BiregularGraph, kmax: int, budget: int = WALK_BUDGET) 
     closed sequences (u1, v1, ..., ut, vt, u1) whose only constraint is that
     consecutive V1 vertices differ.  Equals tr (XX^T - d1 I)^t.
     """
-    adj1 = g.adjacency_left
-    adj2 = g.adjacency_right
+    adj1 = g.adjacency_left.tolist()
+    adj2 = g.adjacency_right.tolist()
     est = g.n * (g.d1 * (g.d2 - 1)) ** max(kmax, 1)
     if est > budget:
         raise TooLarge(f"walk space ~{est} exceeds budget {budget}")

@@ -114,3 +114,24 @@ def test_computation_error_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert run(["walks", "--in", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_a_typed_error(tmp_path, capsys):
+    cfg = tmp_path / "bogus.json"
+    cfg.write_text(json.dumps({
+        "experiment": "poisson",
+        "seed": 1,
+        "params": {"n": 20, "m": 20, "d1": 2, "d2": 2, "r": 2, "samples": 3, "bogus": 1},
+    }))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "'bogus'" in err and "allowed:" in err and "samples" in err
+    assert "Traceback" not in err
+
+
+def test_graph_file_with_out_of_range_edge(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": 2, "m": 2, "d1": 2, "d2": 2,
+                                "edges": [[0, 0], [0, 1], [1, 0], [1, 2]]}))
+    assert run(["walks", "--in", str(path)]) == 1
+    assert "edge (1, 2) out of range" in capsys.readouterr().err

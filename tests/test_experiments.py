@@ -67,7 +67,9 @@ def test_tv_two_samples_identical_is_zero():
 
 
 def test_cycle_count_vector_matches_dfs():
-    for g in random_corpus(6, 12, 16, 4, 3, seed=51):
+    # d2 = 2 makes the (d2-2) terms of the C_3 formula vanish
+    corpus = random_corpus(6, 12, 16, 4, 3, seed=51) + random_corpus(6, 12, 18, 3, 2, seed=52)
+    for g in corpus:
         assert cycle_count_vector(g, 4) == [count_cycles(g, k) for k in (2, 3, 4)]
 
 

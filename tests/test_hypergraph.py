@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bireg.errors import DegreeMismatch, DuplicateHyperedge
-from bireg.graph import new_biregular
+from bireg.graph import BiregularGraph
 from bireg.hypergraph import (
     RegularHypergraph,
     adjacency_identity_gap,
@@ -55,7 +55,7 @@ def test_two_uniform_case_is_a_graph():
 
 def test_from_bipartite_duplicate_neighbourhood():
     # two V2 vertices with identical neighbourhoods (a 4-cycle in K_{2,2})
-    g = new_biregular(2, 2, 2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
+    g = BiregularGraph(n=2, m=2, d1=2, d2=2, edges=[(0, 0), (0, 1), (1, 0), (1, 1)])
     assert not has_simple_image(g)
     with pytest.raises(DuplicateHyperedge):
         from_bipartite(g)

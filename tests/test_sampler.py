@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bireg.errors import BalanceViolation, TooLarge
+from bireg.errors import BalanceViolation, TooLarge, UnknownConfigKey
 from bireg.graph import complete_bipartite
 from bireg.sampler import (
     SamplerConfig,
@@ -111,3 +111,8 @@ def test_auto_method_picks_chain_for_dense_degrees():
 def test_config_roundtrip():
     cfg = SamplerConfig(method="switch-chain", mcmc_steps=5, seed=9)
     assert SamplerConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_from_dict_rejects_unknown_key():
+    with pytest.raises(UnknownConfigKey, match="'steps'.*allowed: .*mcmc_steps"):
+        SamplerConfig.from_dict({"method": "auto", "steps": 10})

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bireg.errors import BiregError, EdgeMissing, PreconditionViolated, TooLarge
-from bireg.graph import new_biregular
+from bireg.graph import BiregularGraph
 from bireg.sampler import sample_configuration, trial_rng
 from bireg.switching import (
     Cycle,
@@ -61,7 +61,7 @@ def test_short_cycles_fixtures(k22, k33, hexagon):
 def _hexagon_and_matching():
     # hexagon on (0..2) x (0..2) plus a disjoint 4-cycle on (3, 4) x (3, 4)
     edges = list(HEX_EDGES) + [(3, 3), (3, 4), (4, 3), (4, 4)]
-    return new_biregular(5, 5, 2, 2, edges)
+    return BiregularGraph(n=5, m=5, d1=2, d2=2, edges=edges)
 
 
 def test_apply_forward_deletes_cycle():
@@ -98,7 +98,7 @@ def test_apply_backward_existing_edge_rejected():
     # K_{4,4} minus the identity matching; the target cycle (0,0,1,1) shares
     # edge (1, 0) with the graph, and no path edge removes it
     edges = [(i, j) for i in range(4) for j in range(4) if i != j]
-    g = new_biregular(4, 4, 3, 3, edges)
+    g = BiregularGraph(n=4, m=4, d1=3, d2=3, edges=edges)
     alpha = Cycle((0, 0, 1, 1))
     spec = SwitchingSpec(alpha=alpha, e=((2, 2), (3, 2)), e_prime=((3, 3), (2, 3)))
     with pytest.raises(PreconditionViolated, match="already present"):
