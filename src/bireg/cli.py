@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -126,8 +125,6 @@ def _cmd_switchings(args):
 def _cmd_experiment(args):
     with open(args.config) as fh:
         config = json.load(fh)
-    if args.threads is not None:
-        config.setdefault("params", {})["threads"] = args.threads
     report = experiments.run_experiment(config)
     out = config.get("output", args.out)
     if out:
@@ -162,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="bireg",
         description="Spectra and cycle statistics of random biregular bipartite graphs.",
     )
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default: cores)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample one graph and write it to a file")
@@ -236,8 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = os.cpu_count() or 1
     try:
         return args.func(args)
     except BiregError as exc:

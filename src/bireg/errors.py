@@ -67,3 +67,7 @@ class DuplicateHyperedge(BiregError):
 
 class UnknownConfigKey(BiregError):
     """A config names a parameter that its target does not accept."""
+
+
+class MissingConfigKey(BiregError):
+    """A config lacks a key that its target requires."""

@@ -1,9 +1,9 @@
 """Monte-Carlo experiments on the limit laws, with quantitative reports.
 
 Every experiment is deterministic given (parameters, seed): trial t draws
-from the stream ``trial_rng(seed, t)`` and the aggregation is order-fixed,
-so thread counts do not change the output.  Reports carry the seed, the
-full parameter set, summary statistics, and the distance diagnostics.
+from the stream ``trial_rng(seed, t)`` and trials run in order.  Reports
+carry the seed, the full parameter set, summary statistics, and the
+distance diagnostics.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import inspect
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from scipy import stats
 
 from . import chebyshev, spectra, walks
 from .chebyshev import ChebExpansion
+from .errors import MissingConfigKey
 from .graph import BiregularGraph, gram_shifted_sparse
 from .sampler import SamplerConfig, check_config_keys, sample_graph, trial_rng
 
@@ -209,13 +209,6 @@ class ExperimentReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _map_trials(samples: int, worker, threads: int = 1) -> list:
-    if threads <= 1:
-        return [worker(t) for t in range(samples)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(samples)))
-
-
 def _infer_m(n, d1, d2):
     if (n * d1) % d2:
         raise ValueError(f"n*d1 = {n * d1} not divisible by d2 = {d2}")
@@ -236,7 +229,6 @@ def poisson_experiment(
     samples: int,
     seed: int,
     method: str = "auto",
-    threads: int = 1,
     keep_samples: bool = False,
 ) -> ExperimentReport:
     """Sample graphs and compare (C_2..C_r) with independent Poissons."""
@@ -249,7 +241,7 @@ def poisson_experiment(
         g = sample_graph(n, m, d1, d2, config, rng)
         return cycle_count_vector(g, r)
 
-    rows = np.array(_map_trials(samples, worker, threads), dtype=np.int64)
+    rows = np.array([worker(t) for t in range(samples)], dtype=np.int64)
     mus = [poisson_cycle_mean(k, d1, d2) for k in range(2, r + 1)]
     statistics = {}
     distances = {}
@@ -311,7 +303,6 @@ def fluctuation_experiment_fixed(
     samples: int,
     seed: int,
     method: str = "auto",
-    threads: int = 1,
     use_eigenvalues: bool = False,
     k_max: int | None = None,
     keep_samples: bool = True,
@@ -341,7 +332,7 @@ def fluctuation_experiment_fixed(
             exp.coefficient(k) * cnbw[k - 1] / q ** (k / 2) for k in range(1, deg + 1)
         )
 
-    ys = np.array(_map_trials(samples, worker, threads), dtype=float)
+    ys = np.array([worker(t) for t in range(samples)], dtype=float)
     limit_rng_base = samples  # separate stream indices for the limit draws
     limit = np.array(
         [sample_limit_Yf(exp, d1, d2, k_max, trial_rng(seed, limit_rng_base + t)) for t in range(samples)],
@@ -386,7 +377,6 @@ def fluctuation_experiment_growing(
     seed: int,
     r_n: int | None = None,
     method: str = "auto",
-    threads: int = 1,
     keep_samples: bool = True,
 ) -> ExperimentReport:
     """Gaussian check for growing degrees: means, variances, covariances, KS."""
@@ -400,7 +390,7 @@ def fluctuation_experiment_growing(
         sample = spectra.eigenvalues(g)
         return [spectra.fluctuation_growing(sample, e, r_n) for e in exps]
 
-    ys = np.array(_map_trials(samples, worker, threads), dtype=float)
+    ys = np.array([worker(t) for t in range(samples)], dtype=float)
     statistics = {}
     distances = {}
     for i, e in enumerate(exps):
@@ -453,7 +443,6 @@ def globallaw_experiment(
     seed: int,
     params: dict | None = None,
     method: str = "auto",
-    threads: int = 1,
 ) -> ExperimentReport:
     """Bulk Kolmogorov-Smirnov distance to a reference density, per sample."""
     m = _infer_m(n, d1, d2)
@@ -472,7 +461,7 @@ def globallaw_experiment(
             abs(sample.eigenvalues[0] - sample.top_exact),
         )
 
-    rows = _map_trials(samples, worker, threads)
+    rows = [worker(t) for t in range(samples)]
     ks = np.array([r[0] for r in rows])
     edge = np.array([r[1] for r in rows])
     top = np.array([r[2] for r in rows])
@@ -507,6 +496,8 @@ EXPERIMENTS = {
 
 def run_experiment(config: dict) -> ExperimentReport:
     """Dispatch a config dict: {"experiment": name, "seed": s, "params": {...}}."""
+    if not isinstance(config, dict) or "experiment" not in config:
+        raise MissingConfigKey(f"config has no 'experiment' key; experiments: {', '.join(EXPERIMENTS)}")
     name = config["experiment"]
     seed = int(config.get("seed", 0))
     params = dict(config.get("params", {}))
@@ -514,8 +505,14 @@ def run_experiment(config: dict) -> ExperimentReport:
         raise ValueError(f"unknown experiment {name!r}")
     fn = EXPERIMENTS[name]
     # the seed is a top-level config key, not a parameter
-    allowed = set(inspect.signature(fn).parameters) - {"seed"}
-    check_config_keys(f"{name} params", params, allowed)
+    signature = inspect.signature(fn).parameters
+    check_config_keys(f"{name} params", params, set(signature) - {"seed"})
+    missing = [
+        key for key, p in signature.items()
+        if p.default is p.empty and key != "seed" and key not in params
+    ]
+    if missing:
+        raise MissingConfigKey(f"missing key(s) {', '.join(map(repr, missing))} in {name} params")
     if name == "fluctuation-fixed":
         params["expansion"] = _expansion_from_config(params.pop("expansion"), params.get("d1"))
     if name == "fluctuation-growing":

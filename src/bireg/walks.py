@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 
 from .errors import HorizonTooLarge, TooLarge
-from .graph import BiregularGraph, gram_shifted
+from .graph import BiregularGraph, gram_shifted_sparse
 
 CYCLE_BUDGET = 10**7
 WALK_BUDGET = 10**7
@@ -90,34 +90,27 @@ def count_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET) -> int:
 def _recurrence_matrices(g: BiregularGraph, kmax: int):
     """A(1)..A(kmax) as exact integer matrices.
 
-    Fast path: float64 BLAS while a worst-case entry bound stays below 2^52
-    (products are then exact); otherwise int64, escalating to Python-int
-    arrays if the bound trips 2^62.
+    Each step multiplies the sparse A(1) into the dense A(k).  A row of A(1)
+    has absolute sum d1(d2-1) (zero diagonal, co-degrees adding up to
+    d1(d2-1)), so every partial sum of a step is at most
+    d1(d2-1)*max|A(k)| + c*max|A(k-1)|.  While that measured bound stays
+    below 2^62 the step runs in int64; once it does not, the matrices become
+    Python-int arrays.  A(0) = I with c = d1(d2-1) gives the A(2) step.
     """
-    a1 = gram_shifted(g)
-    q = g.q
+    a1 = gram_shifted_sparse(g)
     dq = g.d1 * (g.d2 - 1)
-    max1 = int(np.abs(a1).max() or 1)
-    bounds = [0, max1, g.n * max1 * max1 + dq]
-    for k in range(2, kmax):
-        bounds.append(g.n * max1 * bounds[k] + q * bounds[k - 1])
-    if max(bounds[1 : kmax + 1], default=1) < 2**52:
-        f1 = a1.astype(np.float64)
-        mats_f = [None, f1]
-        if kmax >= 2:
-            mats_f.append(f1 @ f1 - dq * np.eye(g.n))
-        for k in range(2, kmax):
-            mats_f.append(f1 @ mats_f[k] - q * mats_f[k - 1])
-        return [None] + [np.rint(m).astype(np.int64) for m in mats_f[1:]]
-    mats = [None, a1]
-    if kmax >= 2:
-        mats.append(a1 @ a1 - dq * np.eye(g.n, dtype=np.int64))
-    for k in range(2, kmax):
+    mats = [np.eye(g.n, dtype=np.int64), a1.toarray()]
+    for k in range(1, kmax):
+        c = dq if k == 1 else g.q
         prev, cur = mats[k - 1], mats[k]
-        if g.n * max1 * int(np.abs(cur).max() or 1) + q * int(np.abs(prev).max() or 1) >= _INT64_SAFE:
-            mats = [None] + [np.array(m.tolist(), dtype=object) for m in mats[1:]]
+        if cur.dtype != object and (
+            dq * int(np.abs(cur).max()) + c * int(np.abs(prev).max()) >= _INT64_SAFE
+        ):
+            mats = [np.array(m.tolist(), dtype=object) for m in mats]
+            a1 = mats[1]
             prev, cur = mats[k - 1], mats[k]
-        mats.append(a1 @ cur - q * prev)
+        mats.append(a1 @ cur - c * prev)
+    mats[0] = None
     return mats
 
 
@@ -130,8 +123,9 @@ def nbw_matrix(g: BiregularGraph, k: int) -> np.ndarray:
 
 def nbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:
     """[NBW_1, ..., NBW_kmax] as exact ints (traces of the recurrence)."""
+    # summed as Python ints: n diagonal entries below 2^62 can pass 2^63
     mats = _recurrence_matrices(g, kmax)
-    return [int(np.trace(mats[k])) for k in range(1, kmax + 1)]
+    return [sum(map(int, mats[k].diagonal())) for k in range(1, kmax + 1)]
 
 
 def nbw_count(g: BiregularGraph, k: int) -> int:
@@ -140,11 +134,14 @@ def nbw_count(g: BiregularGraph, k: int) -> int:
 
 def cnbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:
     """[CNBW_1, ..., CNBW_kmax] via the tail recursion seeded at k = 1, 2."""
-    nbw = nbw_counts_up_to(g, kmax)
-    q = g.q
-    out = list(nbw[:2]) if kmax >= 2 else list(nbw[:1])
-    for k in range(3, kmax + 1):
-        out.append(nbw[k - 1] - q * nbw[k - 3] + (g.d2 - 1) * out[k - 3])
+    return _cnbw_from_nbw(g, nbw_counts_up_to(g, kmax))
+
+
+def _cnbw_from_nbw(g: BiregularGraph, nbw: list) -> list:
+    """CNBW_k = NBW_k - q*NBW_{k-2} + (d2-1)*CNBW_{k-2}, with CNBW = NBW at k = 1, 2."""
+    out = list(nbw[:2])
+    for k in range(3, len(nbw) + 1):
+        out.append(nbw[k - 1] - g.q * nbw[k - 3] + (g.d2 - 1) * out[k - 3])
     return out
 
 
@@ -255,7 +252,7 @@ def walk_table(g: BiregularGraph, r: int, budget: int = CYCLE_BUDGET) -> WalkCou
         raise ValueError("r must be >= 1")
     cycles = [0] + [count_cycles(g, k, budget) for k in range(2, r + 1)]
     nbw = nbw_counts_up_to(g, r)
-    cnbw = cnbw_counts_up_to(g, r)
+    cnbw = _cnbw_from_nbw(g, nbw)
     bad = []
     for k in range(1, r + 1):
         repeats = sum(2 * j * cycles[j - 1] for j in range(1, k + 1) if k % j == 0)

@@ -174,10 +174,12 @@ def test_criterion_7_gaussian_clt():
 
 
 def test_criterion_7_covariance():
-    # Faithful to the stated criterion.  At (8,8,n=1000) the Phi_3 statistic
-    # is dominated by finite-size walk terms the centering cannot remove
-    # (that regime needs n >> q^4.5 ~ 4e7), so the empirical covariance sits
-    # near +10 rather than 0; see the decisions ledger.
+    # Faithful to the stated criterion, and failing: the walk recurrence
+    # A(k+1) = A(1)A(k) - q A(k-1) lacks the (d2-2) term of the bipartite
+    # non-backtracking class, so the Phi_3 statistic is evaluated at the raw
+    # lambda instead of lambda - (d2-2)/sqrt(q) and its covariance with Phi_2
+    # sits near +10 rather than 0.  A program defect, not a finite-size
+    # effect; ROADMAP item 1 gives the fix.
     rep = _growing_report()
     cov = rep.statistics["cov_Y0_Y1"]["empirical"]
     ok = abs(cov) <= 0.6

@@ -129,6 +129,34 @@ def test_unknown_config_key_is_a_typed_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "config, names",
+    [
+        ({"experiment": "poisson", "seed": 1,
+          "params": {"n": 20, "m": 20, "d1": 2, "d2": 2, "samples": 3}}, ["'r'"]),
+        ({"experiment": "globallaw", "params": {"n": 20, "d1": 2}}, ["'d2'", "'samples'", "'model'"]),
+        ({"seed": 1, "params": {}}, ["'experiment'", "poisson"]),
+    ],
+)
+def test_missing_config_key_is_a_typed_error(tmp_path, capsys, config, names):
+    cfg = tmp_path / "missing.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(name in err for name in names)
+    assert "Traceback" not in err
+
+
+def test_threads_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "threads.json"
+    cfg.write_text(json.dumps({
+        "experiment": "poisson",
+        "params": {"n": 20, "m": 20, "d1": 2, "d2": 2, "r": 2, "samples": 3, "threads": 2},
+    }))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    assert "'threads'" in capsys.readouterr().err
+
+
 def test_graph_file_with_out_of_range_edge(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "m": 2, "d1": 2, "d2": 2,

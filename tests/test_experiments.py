@@ -99,12 +99,6 @@ def test_poisson_mean_within_four_stderr_in_sparse_regime():
     assert abs(c2["mean"] - c2["target_mean"]) <= 4 * c2["stderr"]
 
 
-def test_poisson_experiment_threads_deterministic():
-    rep1 = poisson_experiment(40, 40, 2, 2, r=2, samples=100, seed=5, threads=1)
-    rep4 = poisson_experiment(40, 40, 2, 2, r=2, samples=100, seed=5, threads=4)
-    assert rep1.to_dict() == rep4.to_dict()
-
-
 def test_sample_limit_yf_gamma2_is_poisson():
     rng = trial_rng(1)
     draws = [sample_limit_Yf(basis_element("gamma", 2, 3), 3, 3, 4, rng) for _ in range(3000)]

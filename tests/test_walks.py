@@ -14,7 +14,9 @@ import pytest
 
 from bireg.errors import TooLarge
 from bireg.graph import complete_bipartite
+from bireg.sampler import SamplerConfig, sample_graph, trial_rng
 from bireg.walks import (
+    _recurrence_matrices,
     brute_force_walks,
     closed_walk_counts,
     cnbw_count,
@@ -25,6 +27,52 @@ from bireg.walks import (
     walk_table,
 )
 from conftest import random_corpus
+
+
+def reference_recurrence(g, kmax):
+    """A(1)..A(kmax) as nested lists of Python ints, built row by row from
+    the edge list: A(1) = XX^T - d1 I, A(2) = A(1)^2 - d1(d2-1) I,
+    A(k+1) = A(1) A(k) - q A(k-1).  Test-only; shares no code with walks.py.
+    """
+    n = g.n
+    sharers = {}
+    for i, j in g.edges:
+        sharers.setdefault(j, []).append(i)
+    codeg = [{} for _ in range(n)]
+    for us in sharers.values():
+        for a in us:
+            for b in us:
+                if a != b:
+                    codeg[a][b] = codeg[a].get(b, 0) + 1
+
+    def times_a1(rows):
+        out = []
+        for i in range(n):
+            acc = [0] * n
+            for l, w in codeg[i].items():
+                acc = [x + w * y for x, y in zip(acc, rows[l])]
+            out.append(acc)
+        return out
+
+    a1 = [[codeg[i].get(l, 0) for l in range(n)] for i in range(n)]
+    mats = [None, a1]
+    if kmax >= 2:
+        a2 = times_a1(a1)
+        for i in range(n):
+            a2[i][i] -= g.d1 * (g.d2 - 1)
+        mats.append(a2)
+    for k in range(2, kmax):
+        nxt = times_a1(mats[k])
+        mats.append([[x - g.q * y for x, y in zip(r, p)] for r, p in zip(nxt, mats[k - 1])])
+    return mats
+
+
+def assert_matches_reference(g, kmax):
+    mats = _recurrence_matrices(g, kmax)
+    ref = reference_recurrence(g, kmax)
+    for k in range(1, kmax + 1):
+        assert mats[k].tolist() == ref[k], f"A({k}) differs"
+    return mats
 
 
 def junction_rule_walks(g, k, cyclic):
@@ -118,11 +166,28 @@ def test_nbw_matrix_entries_nonnegative():
 
 
 def test_bigint_escalation_matches_small_k(k33):
-    import bireg.walks as walks
-
-    mats = walks._recurrence_matrices(k33, 40)
+    # A(40) of K_{3,3} passes 2^62, so the run ends in Python ints
+    mats = assert_matches_reference(k33, 40)
     assert mats[40].dtype == object
-    assert np.array_equal(np.asarray(mats[4], dtype=np.int64), nbw_matrix(k33, 4))
+
+
+def test_recurrence_matches_reference_on_sampled_graph():
+    g = sample_graph(300, 300, 3, 3, SamplerConfig(seed=7), trial_rng(7, 0))
+    mats = assert_matches_reference(g, 14)
+    assert mats[14].dtype == np.int64
+
+
+def test_recurrence_switches_tiers_mid_run():
+    g = complete_bipartite(8, 8)
+    assert _recurrence_matrices(g, 6)[6].dtype == np.int64
+    assert assert_matches_reference(g, 12)[12].dtype == object
+
+
+def test_nbw_count_trace_does_not_wrap():
+    # A(1) = 8J - 8I has spectrum {56, -8 (x7)}, so NBW_11 = a_11(56) + 7 a_11(-8)
+    # with a_1(x) = x, a_2(x) = x^2 - 56, a_{k+1}(x) = x a_k(x) - 49 a_{k-1}(x);
+    # each diagonal entry of A(11) fits in int64, their sum does not
+    assert nbw_count(complete_bipartite(8, 8), 11) == 14443508936700813312
 
 
 # ---- independent oracle -----------------------------------------------------
