@@ -22,7 +22,6 @@ from .chebyshev import (
 )
 from .graph import (
     BiregularGraph,
-    ScaledGramMatrix,
     complete_bipartite,
     full_adjacency,
     load_graph,
@@ -32,7 +31,6 @@ from .graph import (
 from .hypergraph import (
     RegularHypergraph,
     from_bipartite,
-    hypergraph_adjacency,
     hypergraph_cycle_count,
     sample_regular_hypergraph,
     to_bipartite,
@@ -51,9 +49,8 @@ from .spectra import (
     esd_distance,
     fluctuation_fixed,
     fluctuation_growing,
-    gamma_identity_residual,
+    identity_residuals,
     linear_statistic,
-    nbw_identity_residual,
     reference_cdf,
     reference_density,
     spectral_edge_check,
@@ -70,10 +67,9 @@ from .switching import (
 from .walks import (
     WalkCountTable,
     brute_force_walks,
-    cnbw_count,
+    cnbw_counts_up_to,
     count_cycles,
-    nbw_count,
-    nbw_matrix,
+    nbw_counts_up_to,
     walk_table,
 )
 

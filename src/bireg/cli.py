@@ -89,12 +89,8 @@ def _cmd_spectrum(args):
 
 def _cmd_identity(args):
     g = load_graph(args.input)
-    sample = spectra.eigenvalues(g)
-    rows = []
-    for k in range(1, args.kmax + 1):
-        gr = spectra.gamma_identity_residual(g, k, sample)
-        pr = spectra.nbw_identity_residual(g, k, sample)
-        rows.append((k, f"{gr:.3e}", f"{pr:.3e}"))
+    residuals = spectra.identity_residuals(g, args.kmax)
+    rows = [(k, f"{gr:.3e}", f"{pr:.3e}") for k, (gr, pr) in enumerate(residuals, start=1)]
     _emit(_table(rows, ["k", "gamma_residual", "nbw_residual"]), args.out)
     return 0
 

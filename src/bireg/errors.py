@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check of JSON input."""
+
+from numbers import Integral
 
 
 class BiregError(Exception):
@@ -49,10 +51,6 @@ class EdgeMissing(BiregError):
     """A switching specification references an edge absent from the graph."""
 
 
-class Overflow(BiregError):
-    """Fixed-width integer arithmetic would overflow."""
-
-
 class NonDecayingCoefficients(BiregError):
     """A Chebyshev fit did not reach coefficient decay within max_k terms."""
 
@@ -71,3 +69,17 @@ class UnknownConfigKey(BiregError):
 
 class MissingConfigKey(BiregError):
     """A config lacks a key that its target requires."""
+
+
+class MalformedInput(BiregError):
+    """A config or data file holds a value of the wrong type or range."""
+
+
+def check_int(where: str, key: str, value, allow_none: bool = False) -> None:
+    """Raise MalformedInput naming key unless value is an integer that is not
+    a bool, or None where allow_none."""
+    if value is None and allow_none:
+        return
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        kind = "an integer or null" if allow_none else "an integer"
+        raise MalformedInput(f"{where} key {key!r} must be {kind}, got {value!r}")

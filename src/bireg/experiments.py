@@ -19,7 +19,7 @@ from scipy import stats
 
 from . import chebyshev, spectra, walks
 from .chebyshev import ChebExpansion
-from .errors import MissingConfigKey
+from .errors import MalformedInput, MissingConfigKey, check_int
 from .graph import BiregularGraph, gram_shifted_sparse
 from .sampler import SamplerConfig, check_config_keys, sample_graph, trial_rng
 
@@ -30,7 +30,7 @@ def poisson_cycle_mean(k: int, d1: int, d2: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# streaming moments (pairwise mergeable)
+# streaming moments
 # ---------------------------------------------------------------------------
 
 
@@ -45,19 +45,6 @@ class Moments:
         delta = x - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)
-
-    def merge(self, other: "Moments") -> "Moments":
-        if other.count == 0:
-            return self
-        if self.count == 0:
-            self.count, self.mean, self.m2 = other.count, other.mean, other.m2
-            return self
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.m2 += other.m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        return self
 
     @property
     def variance(self) -> float:
@@ -499,8 +486,12 @@ def run_experiment(config: dict) -> ExperimentReport:
     if not isinstance(config, dict) or "experiment" not in config:
         raise MissingConfigKey(f"config has no 'experiment' key; experiments: {', '.join(EXPERIMENTS)}")
     name = config["experiment"]
-    seed = int(config.get("seed", 0))
-    params = dict(config.get("params", {}))
+    seed = config.get("seed", 0)
+    check_int("config", "seed", seed)
+    params = config.get("params", {})
+    if not isinstance(params, dict):
+        raise MalformedInput(f"config key 'params' must be a JSON object, got {params!r}")
+    params = dict(params)
     if name not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {name!r}")
     fn = EXPERIMENTS[name]
@@ -513,6 +504,12 @@ def run_experiment(config: dict) -> ExperimentReport:
     ]
     if missing:
         raise MissingConfigKey(f"missing key(s) {', '.join(map(repr, missing))} in {name} params")
+    for key, value in params.items():
+        # annotations are strings under `from __future__ import annotations`
+        if signature[key].annotation in ("int", "int | None"):
+            check_int(f"{name} params", key, value, allow_none=signature[key].annotation != "int")
+    if params["samples"] < 1:
+        raise MalformedInput(f"{name} params key 'samples' must be >= 1, got {params['samples']}")
     if name == "fluctuation-fixed":
         params["expansion"] = _expansion_from_config(params.pop("expansion"), params.get("d1"))
     if name == "fluctuation-growing":

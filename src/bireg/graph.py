@@ -23,6 +23,8 @@ from .errors import (
     DegreeMismatch,
     DuplicateEdge,
     MalformedEdgeList,
+    MalformedInput,
+    check_int,
 )
 
 
@@ -150,25 +152,11 @@ class BiregularGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BiregularGraph":
-        return cls(
-            n=int(data["n"]),
-            m=int(data["m"]),
-            d1=int(data["d1"]),
-            d2=int(data["d2"]),
-            edges=data["edges"],
-        )
-
-
-@dataclass(frozen=True)
-class ScaledGramMatrix:
-    """M = (X X^T - d1 I) / sqrt(q) with q = (d1-1)(d2-1).
-
-    Symmetric with identically zero diagonal; the largest eigenvalue is the
-    deterministic value d1*(d2-1)/sqrt(q).
-    """
-
-    matrix: np.ndarray
-    q: int
+        if not isinstance(data, dict):
+            raise MalformedInput(f"a graph file must hold a JSON object, got {type(data).__name__}")
+        for key in ("n", "m", "d1", "d2"):
+            check_int("graph file", key, data[key])
+        return cls(n=data["n"], m=data["m"], d1=data["d1"], d2=data["d2"], edges=data["edges"])
 
 
 def complete_bipartite(n: int, m: int) -> BiregularGraph:
@@ -208,12 +196,15 @@ def gram_shifted(g: BiregularGraph) -> np.ndarray:
     return gram_shifted_sparse(g).toarray()
 
 
-def scaled_gram(g: BiregularGraph) -> ScaledGramMatrix:
-    """The scaled Gram matrix M = (X X^T - d1 I)/sqrt((d1-1)(d2-1))."""
+def scaled_gram(g: BiregularGraph) -> np.ndarray:
+    """The scaled Gram matrix M = (X X^T - d1 I)/sqrt(q), q = (d1-1)(d2-1).
+
+    Symmetric with identically zero diagonal; the largest eigenvalue is the
+    deterministic value d1*(d2-1)/sqrt(q).
+    """
     if g.d1 == 1 or g.d2 == 1:
         raise DegenerateScaling(f"(d1-1)(d2-1) = 0 for d1={g.d1}, d2={g.d2}")
-    m = gram_shifted(g).astype(np.float64) / np.sqrt(g.q)
-    return ScaledGramMatrix(matrix=m, q=g.q)
+    return gram_shifted(g).astype(np.float64) / np.sqrt(g.q)
 
 
 def save_graph(g: BiregularGraph, path) -> None:

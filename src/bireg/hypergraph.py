@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import walks
-from .errors import DegreeMismatch, DuplicateHyperedge, RejectionBudgetExceeded
+from .errors import DegreeMismatch, DuplicateHyperedge, MalformedInput, RejectionBudgetExceeded, check_int
 from .graph import BiregularGraph, gram_shifted
 from .sampler import SamplerConfig, sample_graph
 
@@ -78,12 +78,17 @@ class RegularHypergraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RegularHypergraph":
-        return cls(
-            n=int(data["n"]),
-            d1=int(data["d1"]),
-            d2=int(data["d2"]),
-            hyperedges=tuple(tuple(e) for e in data["hyperedges"]),
-        )
+        if not isinstance(data, dict):
+            raise MalformedInput(f"a hypergraph file must hold a JSON object, got {type(data).__name__}")
+        for key in ("n", "d1", "d2"):
+            check_int("hypergraph file", key, data[key])
+        hes = data["hyperedges"]
+        if not isinstance(hes, list) or not all(isinstance(e, list) for e in hes):
+            raise MalformedInput("hypergraph file key 'hyperedges' must be a list of vertex lists")
+        for idx, e in enumerate(hes):
+            for v in e:
+                check_int("hypergraph file", f"hyperedges[{idx}]", v)
+        return cls(n=data["n"], d1=data["d1"], d2=data["d2"], hyperedges=tuple(tuple(e) for e in hes))
 
 
 def to_bipartite(h: RegularHypergraph) -> BiregularGraph:
@@ -102,11 +107,6 @@ def from_bipartite(g: BiregularGraph) -> RegularHypergraph:
 def has_simple_image(g: BiregularGraph) -> bool:
     """Whether g corresponds to a simple hypergraph (distinct V2 neighbourhoods)."""
     return len(np.unique(g.adjacency_right, axis=0)) == g.m
-
-
-def hypergraph_adjacency(h: RegularHypergraph) -> np.ndarray:
-    """The adjacency matrix; equals XX^T - d1*I of the incidence graph."""
-    return h.adjacency
 
 
 def adjacency_identity_gap(h: RegularHypergraph) -> int:

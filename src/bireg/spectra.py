@@ -55,13 +55,12 @@ class SpectrumSample:
 
 def eigenvalues(g: BiregularGraph) -> SpectrumSample:
     """Full symmetric eigendecomposition of the scaled Gram matrix."""
-    gram = scaled_gram(g)
     try:
-        lam = np.linalg.eigvalsh(gram.matrix)
+        lam = np.linalg.eigvalsh(scaled_gram(g))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise SolverFailure(str(exc)) from exc
     lam = np.sort(lam)[::-1]
-    return SpectrumSample(eigenvalues=lam, n=g.n, m=g.m, d1=g.d1, d2=g.d2, q=gram.q)
+    return SpectrumSample(eigenvalues=lam, n=g.n, m=g.m, d1=g.d1, d2=g.d2, q=g.q)
 
 
 def linear_statistic(sample: SpectrumSample, f) -> float:
@@ -90,22 +89,24 @@ def fluctuation_growing(
     return linear_statistic(sample, exp) - center
 
 
-def gamma_identity_residual(g: BiregularGraph, k: int, sample: SpectrumSample | None = None) -> float:
-    """|sum Gamma_k(lambda_i) - q^{-k/2} CNBW_k|, the cross-stack consistency check."""
+def identity_residuals(g: BiregularGraph, kmax: int, sample: SpectrumSample | None = None) -> list:
+    """[(gamma_residual, nbw_residual)] for k = 1..kmax, the cross-stack check.
+
+    gamma_residual = |sum Gamma_k(lambda_i) - q^{-k/2} CNBW_k| and
+    nbw_residual = |sum p_k(lambda_i) - q^{-k/2} NBW_k|, from one pass of the
+    walk recurrence.
+    """
     if sample is None:
         sample = eigenvalues(g)
-    lhs = float(np.sum(chebyshev.gamma_poly(k, g.d1, sample.eigenvalues)))
-    rhs = walks.cnbw_count(g, k) / g.q ** (k / 2)
-    return abs(lhs - rhs)
-
-
-def nbw_identity_residual(g: BiregularGraph, k: int, sample: SpectrumSample | None = None) -> float:
-    """|sum p_k(lambda_i) - q^{-k/2} NBW_k|."""
-    if sample is None:
-        sample = eigenvalues(g)
-    lhs = float(np.sum(chebyshev.p_poly(k, g.d1, sample.eigenvalues)))
-    rhs = walks.nbw_count(g, k) / g.q ** (k / 2)
-    return abs(lhs - rhs)
+    nbw = walks.nbw_counts_up_to(g, kmax)
+    cnbw = walks.cnbw_from_nbw(g, nbw)
+    out = []
+    for k in range(1, kmax + 1):
+        scale = g.q ** (k / 2)
+        gamma_lhs = float(np.sum(chebyshev.gamma_poly(k, g.d1, sample.eigenvalues)))
+        nbw_lhs = float(np.sum(chebyshev.p_poly(k, g.d1, sample.eigenvalues)))
+        out.append((abs(gamma_lhs - cnbw[k - 1] / scale), abs(nbw_lhs - nbw[k - 1] / scale)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,20 +204,16 @@ def esd_distance(
     model: str,
     params: dict | None = None,
     exclude_top: bool = True,
-    recenter: bool | None = None,
 ) -> float:
     """Kolmogorov-Smirnov distance between the (bulk) ESD and a reference law.
 
     For the fixed-degree and shifted-mp laws the comparison variable is
     lambda - (d2-2)/sqrt(q), matching the laws' definition.  For the
-    semicircle the raw eigenvalues are used unless recenter=True (the finite
-    degree bulk keeps that shift; the toggle defaults to off).
+    semicircle the raw eigenvalues are used.
     """
     params = params or {}
     vals = sample.bulk if exclude_top else sample.eigenvalues
     if model in ("fixed-degree", "shifted-mp"):
-        vals = vals - sample.shift
-    elif recenter:
         vals = vals - sample.shift
     return ks_statistic(vals, reference_cdf(model, params))
 

@@ -5,11 +5,13 @@ as mutual oracles:
 
 * ``count_cycles`` -- DFS enumeration of simple 2k-cycles with canonical-start
   pruning (each cycle found exactly once).
-* ``nbw_matrix`` / ``nbw_count`` / ``cnbw_count`` -- the three-term matrix
-  recurrence A(1) = XX^T - d1*I, A(2) = A(1)^2 - d1(d2-1)*I,
+* ``nbw_counts_up_to`` / ``cnbw_counts_up_to`` -- the lists NBW_1..NBW_kmax
+  and CNBW_1..CNBW_kmax from one pass of the three-term matrix recurrence
+  A(1) = XX^T - d1*I, A(2) = A(1)^2 - d1(d2-1)*I,
   A(k+1) = A(1)A(k) - (d1-1)(d2-1)A(k-1), with NBW_k = tr A(k) and the
-  tail recursion CNBW_k = NBW_k - q*NBW_{k-2} + (d2-1)*CNBW_{k-2}.
-* ``brute_force_walks`` -- evaluates the same invariants from scratch:
+  tail recursion CNBW_k = NBW_k - q*NBW_{k-2} + (d2-1)*CNBW_{k-2}
+  (``cnbw_from_nbw``, for callers that already hold the NBW list).
+* ``brute_force_walks`` -- evaluates the same two lists from scratch:
   exhaustive DFS over *plain* closed walks (the only constraint being that
   consecutive V1 vertices differ) combined with the explicit coefficient
   expansions of the Chebyshev-type polynomials.  It shares no code or
@@ -114,13 +116,6 @@ def _recurrence_matrices(g: BiregularGraph, kmax: int):
     return mats
 
 
-def nbw_matrix(g: BiregularGraph, k: int) -> np.ndarray:
-    """The k-th matrix of the recurrence (integer entries, exact)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _recurrence_matrices(g, k)[k]
-
-
 def nbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:
     """[NBW_1, ..., NBW_kmax] as exact ints (traces of the recurrence)."""
     # summed as Python ints: n diagonal entries below 2^62 can pass 2^63
@@ -128,25 +123,17 @@ def nbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:
     return [sum(map(int, mats[k].diagonal())) for k in range(1, kmax + 1)]
 
 
-def nbw_count(g: BiregularGraph, k: int) -> int:
-    return nbw_counts_up_to(g, k)[k - 1]
-
-
 def cnbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:
     """[CNBW_1, ..., CNBW_kmax] via the tail recursion seeded at k = 1, 2."""
-    return _cnbw_from_nbw(g, nbw_counts_up_to(g, kmax))
+    return cnbw_from_nbw(g, nbw_counts_up_to(g, kmax))
 
 
-def _cnbw_from_nbw(g: BiregularGraph, nbw: list) -> list:
+def cnbw_from_nbw(g: BiregularGraph, nbw: list) -> list:
     """CNBW_k = NBW_k - q*NBW_{k-2} + (d2-1)*CNBW_{k-2}, with CNBW = NBW at k = 1, 2."""
     out = list(nbw[:2])
     for k in range(3, len(nbw) + 1):
         out.append(nbw[k - 1] - g.q * nbw[k - 3] + (g.d2 - 1) * out[k - 3])
     return out
-
-
-def cnbw_count(g: BiregularGraph, k: int) -> int:
-    return cnbw_counts_up_to(g, k)[k - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -193,33 +180,30 @@ def _two_t_halfarg_coeffs(k: int) -> dict:
     return {k - 2 * j: (-1) ** j * k * comb(k - j, j) // (k - j) for j in range(k // 2 + 1)}
 
 
-def brute_force_walks(g: BiregularGraph, k: int, kind: str = "nbw", budget: int = WALK_BUDGET) -> int:
-    """Independent evaluation of NBW_k or CNBW_k.
+def brute_force_walks(g: BiregularGraph, kmax: int, budget: int = WALK_BUDGET) -> tuple:
+    """Independent evaluation of ([NBW_1..NBW_kmax], [CNBW_1..CNBW_kmax]).
 
-    Uses only plain closed-walk counts (exhaustive DFS) and the closed-form
-    coefficients of the half-argument Chebyshev polynomials; no matrix
-    products and no three-term recurrence.
+    Uses only plain closed-walk counts (one exhaustive DFS) and the
+    closed-form coefficients of the half-argument Chebyshev polynomials; no
+    matrix products and no three-term recurrence.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if kind not in ("nbw", "cnbw"):
-        raise ValueError(f"kind must be 'nbw' or 'cnbw', got {kind!r}")
     q = g.q
-    w = closed_walk_counts(g, k, budget)
-    total = Fraction(0)
-    if kind == "nbw":
-        for p, c in _u_halfarg_coeffs(k).items():
-            total += Fraction(c) * q ** ((k - p) // 2) * w[p]
-        for p, c in _u_halfarg_coeffs(k - 2).items():
-            total -= Fraction(c, g.d1 - 1) * q ** ((k - p) // 2) * w[p]
-    else:
-        for p, c in _two_t_halfarg_coeffs(k).items():
-            total += Fraction(c) * q ** ((k - p) // 2) * w[p]
+    w = closed_walk_counts(g, kmax, budget)
+
+    def halfarg_sum(coeffs, k, div=1):
+        return sum((Fraction(c, div) * q ** ((k - p) // 2) * w[p] for p, c in coeffs.items()), Fraction(0))
+
+    nbw, cnbw = [], []
+    for k in range(1, kmax + 1):
+        total_nbw = halfarg_sum(_u_halfarg_coeffs(k), k) - halfarg_sum(_u_halfarg_coeffs(k - 2), k, g.d1 - 1)
+        total_cnbw = halfarg_sum(_two_t_halfarg_coeffs(k), k)
         if k % 2 == 0:
-            total += Fraction(g.n * (g.d1 - 2)) * (g.d2 - 1) ** (k // 2)
-    if total.denominator != 1:
-        raise AssertionError("walk-count combination is not an integer")
-    return int(total)
+            total_cnbw += g.n * (g.d1 - 2) * (g.d2 - 1) ** (k // 2)
+        for total, out in ((total_nbw, nbw), (total_cnbw, cnbw)):
+            if total.denominator != 1:
+                raise AssertionError("walk-count combination is not an integer")
+            out.append(int(total))
+    return nbw, cnbw
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +236,7 @@ def walk_table(g: BiregularGraph, r: int, budget: int = CYCLE_BUDGET) -> WalkCou
         raise ValueError("r must be >= 1")
     cycles = [0] + [count_cycles(g, k, budget) for k in range(2, r + 1)]
     nbw = nbw_counts_up_to(g, r)
-    cnbw = _cnbw_from_nbw(g, nbw)
+    cnbw = cnbw_from_nbw(g, nbw)
     bad = []
     for k in range(1, r + 1):
         repeats = sum(2 * j * cycles[j - 1] for j in range(1, k + 1) if k % j == 0)

@@ -1,5 +1,6 @@
 import pytest
 
+from bireg import walks
 from bireg.graph import BiregularGraph, complete_bipartite
 from bireg.sampler import sample_configuration, trial_rng
 
@@ -27,3 +28,17 @@ def random_corpus(count, n, m, d1, d2, seed=0):
         sample_configuration(n, m, d1, d2, trial_rng(seed, t), max_rejections=100000)
         for t in range(count)
     ]
+
+
+@pytest.fixture
+def recurrence_calls(monkeypatch):
+    """The kmax of every walk-recurrence run made during the test."""
+    calls = []
+    recurrence = walks._recurrence_matrices
+
+    def counted(g, kmax):
+        calls.append(kmax)
+        return recurrence(g, kmax)
+
+    monkeypatch.setattr(walks, "_recurrence_matrices", counted)
+    return calls

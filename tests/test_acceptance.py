@@ -28,7 +28,7 @@ from bireg.hypergraph import (
     to_bipartite,
 )
 from bireg.sampler import SamplerConfig, enumerate_all, sample_configuration, sample_graph, trial_rng
-from bireg.spectra import eigenvalues, gamma_identity_residual, nbw_identity_residual
+from bireg.spectra import eigenvalues, identity_residuals
 from bireg.switching import (
     Cycle,
     apply_backward,
@@ -38,7 +38,7 @@ from bireg.switching import (
     short_cycles,
     valid_switchings,
 )
-from bireg.walks import brute_force_walks, cnbw_count, count_cycles, nbw_count
+from bireg.walks import brute_force_walks, cnbw_counts_up_to, count_cycles, nbw_counts_up_to
 from conftest import HEX_EDGES
 
 DEGREE_CASES = [(3, 3, 60, 60), (4, 3, 30, 40), (6, 3, 30, 60), (4, 2, 30, 60)]
@@ -61,9 +61,9 @@ def test_criterion_1_gamma_identity():
     worst = 0.0
     for g in _identity_corpus():
         s = eigenvalues(g)
-        for k in range(1, 7):
-            rhs = cnbw_count(g, k) / g.q ** (k / 2)
-            resid = gamma_identity_residual(g, k, s)
+        cnbw = cnbw_counts_up_to(g, 6)
+        for k, (resid, _) in enumerate(identity_residuals(g, 6, s), start=1):
+            rhs = cnbw[k - 1] / g.q ** (k / 2)
             worst = max(worst, resid / max(1.0, rhs))
     ok = worst <= 1e-8
     assert _report(1, "Gamma identity", ok, f"200 graphs, k=1..6, worst relative residual {worst:.2e} (tol 1e-8)")
@@ -73,9 +73,9 @@ def test_criterion_2_nbw_identity():
     worst = 0.0
     for g in _identity_corpus():
         s = eigenvalues(g)
-        for k in range(1, 7):
-            rhs = nbw_count(g, k) / g.q ** (k / 2)
-            resid = nbw_identity_residual(g, k, s)
+        nbw = nbw_counts_up_to(g, 6)
+        for k, (_, resid) in enumerate(identity_residuals(g, 6, s), start=1):
+            rhs = nbw[k - 1] / g.q ** (k / 2)
             worst = max(worst, resid / max(1.0, abs(rhs)))
     ok = worst <= 1e-8
     assert _report(2, "NBW identity", ok, f"200 graphs, k=1..6, worst relative residual {worst:.2e} (tol 1e-8)")
@@ -92,9 +92,9 @@ def test_criterion_3_oracle_equivalence():
     ]
     mismatches = 0
     for g in corpus:
-        for k in range(1, 5):
-            mismatches += brute_force_walks(g, k, "nbw") != nbw_count(g, k)
-            mismatches += brute_force_walks(g, k, "cnbw") != cnbw_count(g, k)
+        nbw, cnbw = brute_force_walks(g, 4)
+        mismatches += sum(a != b for a, b in zip(nbw, nbw_counts_up_to(g, 4)))
+        mismatches += sum(a != b for a, b in zip(cnbw, cnbw_counts_up_to(g, 4)))
     ok = mismatches == 0
     assert _report(3, "oracle equivalence", ok, f"{len(corpus)} graphs, k<=4, {mismatches} mismatches (exact equality)")
 

@@ -163,3 +163,55 @@ def test_graph_file_with_out_of_range_edge(tmp_path, capsys):
                                 "edges": [[0, 0], [0, 1], [1, 0], [1, 2]]}))
     assert run(["walks", "--in", str(path)]) == 1
     assert "edge (1, 2) out of range" in capsys.readouterr().err
+
+
+POISSON_PARAMS = {"n": 20, "m": 20, "d1": 2, "d2": 2, "r": 2, "samples": 3}
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"experiment": "poisson", "params": [1, 2]}, "'params'"),
+        ({"experiment": "poisson", "seed": [1], "params": POISSON_PARAMS}, "'seed'"),
+        ({"experiment": "poisson", "seed": True, "params": POISSON_PARAMS}, "'seed'"),
+        ({"experiment": "poisson", "params": dict(POISSON_PARAMS, samples="2")}, "'samples'"),
+        ({"experiment": "poisson", "params": dict(POISSON_PARAMS, samples=0)}, "'samples'"),
+        ({"experiment": "fluctuation-fixed",
+          "params": {"n": 20, "d1": 3, "d2": 3, "expansion": "gamma_2", "samples": 2, "k_max": "3"}},
+         "'k_max'"),
+    ],
+)
+def test_badly_typed_config_value_is_a_typed_error(tmp_path, capsys, config, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, data, key",
+    [
+        (["walks"], {"n": [3], "m": 3, "d1": 2, "d2": 2, "edges": []}, "'n'"),
+        (["walks"], [1, 2, 3], "JSON object"),
+        (["hypergraph", "check"], {"n": 6, "d1": 2, "d2": 3, "hyperedges": 5}, "'hyperedges'"),
+    ],
+)
+def test_badly_typed_graph_file_is_a_typed_error(tmp_path, capsys, command, data, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run([*command, "--in", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
+def test_identity_runs_the_walk_recurrence_once(tmp_path, recurrence_calls):
+    g = tmp_path / "g.json"
+    assert run(["sample", "--n", "300", "--m", "300", "--d1", "3", "--d2", "3",
+                "--seed", "0", "--out", str(g)]) == 0
+    out = tmp_path / "id.tsv"
+    assert run(["identity", "--in", str(g), "--kmax", "14", "--out", str(out)]) == 0
+    assert recurrence_calls == [14]
+    assert len(out.read_text().splitlines()) == 15

@@ -6,7 +6,6 @@ from scipy import stats
 
 from bireg.chebyshev import basis_element
 from bireg.experiments import (
-    Moments,
     cycle_count_vector,
     fluctuation_experiment_fixed,
     fluctuation_experiment_growing,
@@ -22,22 +21,6 @@ from bireg.experiments import (
 from bireg.sampler import trial_rng
 from bireg.walks import count_cycles
 from conftest import random_corpus
-
-
-def test_moments_merge_matches_batch():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=101)
-    a, b, whole = Moments(), Moments(), Moments()
-    for x in xs[:40]:
-        a.add(x)
-    for x in xs[40:]:
-        b.add(x)
-    for x in xs:
-        whole.add(x)
-    a.merge(b)
-    assert a.count == whole.count
-    assert a.mean == pytest.approx(whole.mean, rel=1e-12)
-    assert a.variance == pytest.approx(whole.variance, rel=1e-12)
 
 
 def test_tv_poisson_exact_small_case():

@@ -9,6 +9,7 @@ from bireg.errors import (
     DegreeMismatch,
     DuplicateEdge,
     MalformedEdgeList,
+    MalformedInput,
 )
 from bireg.graph import (
     BiregularGraph,
@@ -130,16 +131,15 @@ def test_full_adjacency_spectrum_symmetric_plus_zeros():
 
 
 def test_scaled_gram_k22():
-    m = scaled_gram(complete_bipartite(2, 2))
-    assert m.q == 1
-    assert np.allclose(m.matrix, [[0, 2], [2, 0]])
+    g = complete_bipartite(2, 2)
+    assert g.q == 1
+    assert np.allclose(scaled_gram(g), [[0, 2], [2, 0]])
 
 
 def test_scaled_gram_hexagon():
     g = BiregularGraph(n=3, m=3, d1=2, d2=2, edges=HEX_EDGES)
-    m = scaled_gram(g)
     expected = np.ones((3, 3)) - np.eye(3)
-    assert np.allclose(m.matrix, expected)
+    assert np.allclose(scaled_gram(g), expected)
 
 
 def test_scaled_gram_complete_bipartite_eigenvalues():
@@ -148,7 +148,7 @@ def test_scaled_gram_complete_bipartite_eigenvalues():
         g = complete_bipartite(n, m)
         d1, d2 = m, n
         q = (d1 - 1) * (d2 - 1)
-        eig = np.sort(np.linalg.eigvalsh(scaled_gram(g).matrix))
+        eig = np.sort(np.linalg.eigvalsh(scaled_gram(g)))
         assert abs(eig[-1] - d1 * (d2 - 1) / np.sqrt(q)) < 1e-10
         assert np.allclose(eig[:-1], -d1 / np.sqrt(q), atol=1e-10)
 
@@ -171,3 +171,17 @@ def test_graph_file_roundtrip(tmp_path):
     assert load_graph(path) == g
     data = json.loads(path.read_text())
     assert set(data) == {"n", "m", "d1", "d2", "edges"}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1, 2, 3],
+        {"n": [3], "m": 3, "d1": 2, "d2": 2, "edges": []},
+        {"n": 2, "m": 2, "d1": True, "d2": 2, "edges": [[0, 0], [1, 1]]},
+        {"n": 2, "m": "2", "d1": 1, "d2": 1, "edges": [[0, 0], [1, 1]]},
+    ],
+)
+def test_from_dict_rejects_badly_typed_input(data):
+    with pytest.raises(MalformedInput):
+        BiregularGraph.from_dict(data)

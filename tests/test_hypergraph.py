@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from bireg.errors import DegreeMismatch, DuplicateHyperedge
+from bireg.errors import DegreeMismatch, DuplicateHyperedge, MalformedInput
 from bireg.graph import BiregularGraph
 from bireg.hypergraph import (
     RegularHypergraph,
     adjacency_identity_gap,
     from_bipartite,
     has_simple_image,
-    hypergraph_adjacency,
     hypergraph_cycle_count,
     load_hypergraph,
     sample_regular_hypergraph,
@@ -46,7 +45,7 @@ def test_roundtrip_through_bipartite():
 def test_two_uniform_case_is_a_graph():
     # a 2-regular 2-uniform hypergraph = a cycle graph; adjacency matches
     h = RegularHypergraph(n=4, d1=2, d2=2, hyperedges=((0, 1), (1, 2), (2, 3), (0, 3)))
-    a = hypergraph_adjacency(h)
+    a = h.adjacency
     expected = np.zeros((4, 4), dtype=np.int64)
     for i, j in h.hyperedges:
         expected[i, j] = expected[j, i] = 1
@@ -64,7 +63,7 @@ def test_from_bipartite_duplicate_neighbourhood():
 def test_adjacency_identity():
     h = fig_hypergraph()
     assert adjacency_identity_gap(h) == 0
-    assert np.all(np.diag(hypergraph_adjacency(h)) == 0)
+    assert np.all(np.diag(h.adjacency) == 0)
 
 
 def test_adjacency_identity_sampled():
@@ -86,7 +85,7 @@ def test_spectrum_matches_bipartite_gram():
     g = to_bipartite(h)
     from bireg.graph import gram_shifted
 
-    lam_h = np.sort(np.linalg.eigvalsh(hypergraph_adjacency(h).astype(float)))
+    lam_h = np.sort(np.linalg.eigvalsh(h.adjacency.astype(float)))
     lam_g = np.sort(np.linalg.eigvalsh(gram_shifted(g).astype(float)))
     assert np.allclose(lam_h, lam_g, atol=1e-10)
 
@@ -107,3 +106,18 @@ def test_file_roundtrip(tmp_path):
     path = tmp_path / "h.json"
     save_hypergraph(h, path)
     assert load_hypergraph(path).hyperedges == h.hyperedges
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [1, 2, 3],
+        {"n": 6, "d1": 2, "d2": 3, "hyperedges": 5},
+        {"n": 6, "d1": 2, "d2": 3, "hyperedges": [5]},
+        {"n": 6, "d1": 2, "d2": 3, "hyperedges": [[0, 1, 2.5]]},
+        {"n": 6.0, "d1": 2, "d2": 3, "hyperedges": []},
+    ],
+)
+def test_from_dict_rejects_badly_typed_input(data):
+    with pytest.raises(MalformedInput):
+        RegularHypergraph.from_dict(data)

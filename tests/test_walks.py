@@ -19,11 +19,10 @@ from bireg.walks import (
     _recurrence_matrices,
     brute_force_walks,
     closed_walk_counts,
-    cnbw_count,
+    cnbw_counts_up_to,
     count_cycles,
     enumerate_cycles,
-    nbw_count,
-    nbw_matrix,
+    nbw_counts_up_to,
     walk_table,
 )
 from conftest import random_corpus
@@ -133,36 +132,37 @@ def test_cycle_budget():
 
 
 def test_nbw_matrices_k22(k22):
-    a1 = nbw_matrix(k22, 1)
-    assert np.array_equal(a1, [[0, 2], [2, 0]])
-    assert np.array_equal(nbw_matrix(k22, 2), 2 * np.eye(2))
-    assert np.array_equal(nbw_matrix(k22, 3), a1)
+    mats = _recurrence_matrices(k22, 3)
+    assert np.array_equal(mats[1], [[0, 2], [2, 0]])
+    assert np.array_equal(mats[2], 2 * np.eye(2))
+    assert np.array_equal(mats[3], mats[1])
 
 
 def test_nbw_matrices_hexagon(hexagon):
     j = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
-    assert np.array_equal(nbw_matrix(hexagon, 1), j)
-    assert np.array_equal(nbw_matrix(hexagon, 2), j)
-    assert np.array_equal(nbw_matrix(hexagon, 3), 2 * np.eye(3))
+    mats = _recurrence_matrices(hexagon, 3)
+    assert np.array_equal(mats[1], j)
+    assert np.array_equal(mats[2], j)
+    assert np.array_equal(mats[3], 2 * np.eye(3))
 
 
 def test_nbw_counts_fixtures(k22, hexagon):
-    assert nbw_count(k22, 1) == 0
-    assert nbw_count(k22, 2) == 4
-    assert nbw_count(k22, 3) == 0
-    assert nbw_count(hexagon, 3) == 6
+    assert nbw_counts_up_to(k22, 3) == [0, 4, 0]
+    assert nbw_counts_up_to(hexagon, 3)[2] == 6
 
 
 def test_cnbw_fixtures(k22, hexagon):
-    assert cnbw_count(k22, 2) == 4 == 4 * count_cycles(k22, 2)
-    assert cnbw_count(k22, 3) == 0
-    assert cnbw_count(hexagon, 3) == 6 == 6 * count_cycles(hexagon, 3)
+    cnbw = cnbw_counts_up_to(k22, 3)
+    assert cnbw[1] == 4 == 4 * count_cycles(k22, 2)
+    assert cnbw[2] == 0
+    assert cnbw_counts_up_to(hexagon, 3)[2] == 6 == 6 * count_cycles(hexagon, 3)
 
 
 def test_nbw_matrix_entries_nonnegative():
     for g in random_corpus(5, 10, 10, 3, 3, seed=11):
+        mats = _recurrence_matrices(g, 6)
         for k in range(1, 7):
-            assert np.all(nbw_matrix(g, k) >= 0)
+            assert np.all(mats[k] >= 0)
 
 
 def test_bigint_escalation_matches_small_k(k33):
@@ -187,7 +187,7 @@ def test_nbw_count_trace_does_not_wrap():
     # A(1) = 8J - 8I has spectrum {56, -8 (x7)}, so NBW_11 = a_11(56) + 7 a_11(-8)
     # with a_1(x) = x, a_2(x) = x^2 - 56, a_{k+1}(x) = x a_k(x) - 49 a_{k-1}(x);
     # each diagonal entry of A(11) fits in int64, their sum does not
-    assert nbw_count(complete_bipartite(8, 8), 11) == 14443508936700813312
+    assert nbw_counts_up_to(complete_bipartite(8, 8), 11)[10] == 14443508936700813312
 
 
 # ---- independent oracle -----------------------------------------------------
@@ -207,21 +207,17 @@ def test_plain_walk_counts_match_traces(k33, hexagon):
 
 def test_brute_force_matches_recurrence_fixtures(k22, k33, hexagon):
     for g in (k22, k33, hexagon):
-        for k in range(1, 5):
-            assert brute_force_walks(g, k, "nbw") == nbw_count(g, k)
-            assert brute_force_walks(g, k, "cnbw") == cnbw_count(g, k)
+        assert brute_force_walks(g, 4) == (nbw_counts_up_to(g, 4), cnbw_counts_up_to(g, 4))
 
 
 def test_brute_force_matches_recurrence_random():
     for g in random_corpus(8, 12, 12, 3, 3, seed=12):
-        for k in range(1, 5):
-            assert brute_force_walks(g, k, "nbw") == nbw_count(g, k)
-            assert brute_force_walks(g, k, "cnbw") == cnbw_count(g, k)
+        assert brute_force_walks(g, 4) == (nbw_counts_up_to(g, 4), cnbw_counts_up_to(g, 4))
 
 
 def test_brute_force_budget():
     with pytest.raises(TooLarge):
-        brute_force_walks(complete_bipartite(8, 8), 8, "nbw", budget=100)
+        brute_force_walks(complete_bipartite(8, 8), 8, budget=100)
 
 
 # ---- semantic walk rules ----------------------------------------------------
@@ -230,17 +226,19 @@ def test_brute_force_budget():
 def test_junction_rule_matches_counts_up_to_k3():
     corpus = [complete_bipartite(3, 3)] + random_corpus(4, 10, 10, 3, 3, seed=13)
     for g in corpus:
+        nbw, cnbw = nbw_counts_up_to(g, 3), cnbw_counts_up_to(g, 3)
         for k in (1, 2, 3):
-            assert junction_rule_walks(g, k, cyclic=False) == nbw_count(g, k)
-            assert junction_rule_walks(g, k, cyclic=True) == cnbw_count(g, k)
+            assert junction_rule_walks(g, k, cyclic=False) == nbw[k - 1]
+            assert junction_rule_walks(g, k, cyclic=True) == cnbw[k - 1]
 
 
 def test_junction_rule_matches_all_k_when_d2_is_2(hexagon):
     corpus = [hexagon] + random_corpus(3, 4, 8, 4, 2, seed=14)
     for g in corpus:
+        nbw, cnbw = nbw_counts_up_to(g, 5), cnbw_counts_up_to(g, 5)
         for k in range(1, 6):
-            assert junction_rule_walks(g, k, cyclic=False) == nbw_count(g, k)
-            assert junction_rule_walks(g, k, cyclic=True) == cnbw_count(g, k)
+            assert junction_rule_walks(g, k, cyclic=False) == nbw[k - 1]
+            assert junction_rule_walks(g, k, cyclic=True) == cnbw[k - 1]
 
 
 # ---- the table ---------------------------------------------------------------
