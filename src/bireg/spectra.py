@@ -96,10 +96,10 @@ def identity_residuals(g: BiregularGraph, kmax: int, sample: SpectrumSample | No
     nbw_residual = |sum p_k(lambda_i) - q^{-k/2} NBW_k|, from one pass of the
     walk recurrence.
     """
-    if sample is None:
-        sample = eigenvalues(g)
     nbw = walks.nbw_counts_up_to(g, kmax)
     cnbw = walks.cnbw_from_nbw(g, nbw)
+    if sample is None:
+        sample = eigenvalues(g)
     out = []
     for k in range(1, kmax + 1):
         scale = g.q ** (k / 2)

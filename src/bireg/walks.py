@@ -10,15 +10,16 @@ as mutual oracles:
   A(1) = XX^T - d1*I, A(2) = A(1)^2 - d1(d2-1)*I,
   A(k+1) = A(1)A(k) - (d1-1)(d2-1)A(k-1), with NBW_k = tr A(k) and the
   tail recursion CNBW_k = NBW_k - q*NBW_{k-2} + (d2-1)*CNBW_{k-2}
-  (``cnbw_from_nbw``, for callers that already hold the NBW list).
+  (``cnbw_from_nbw``, for callers that already hold the NBW list).  It runs
+  to ceil(kmax/2) only: the higher traces come from Frobenius products.
 * ``brute_force_walks`` -- evaluates the same two lists from scratch:
   exhaustive DFS over *plain* closed walks (the only constraint being that
   consecutive V1 vertices differ) combined with the explicit coefficient
   expansions of the Chebyshev-type polynomials.  It shares no code or
   recurrence with the matrix path.
 
-All counts are exact integers; the matrix recurrence escalates from int64 to
-Python integers when an overflow bound trips.
+All counts are exact: a recurrence step (step guard) and a Frobenius product
+(Frobenius guard) each leave int64 for Python ints when its bound trips.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ def count_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _absmax(x) -> int:
+    return int(max(x.max(), -x.min()))
+
+
 def _recurrence_matrices(g: BiregularGraph, kmax: int):
     """A(1)..A(kmax) as exact integer matrices.
 
@@ -104,23 +109,42 @@ def _recurrence_matrices(g: BiregularGraph, kmax: int):
     mats = [np.eye(g.n, dtype=np.int64), a1.toarray()]
     for k in range(1, kmax):
         c = dq if k == 1 else g.q
-        prev, cur = mats[k - 1], mats[k]
-        if cur.dtype != object and (
-            dq * int(np.abs(cur).max()) + c * int(np.abs(prev).max()) >= _INT64_SAFE
-        ):
+        if mats[k].dtype != object and dq * _absmax(mats[k]) + c * _absmax(mats[k - 1]) >= _INT64_SAFE:
             mats = [np.array(m.tolist(), dtype=object) for m in mats]
             a1 = mats[1]
-            prev, cur = mats[k - 1], mats[k]
-        mats.append(a1 @ cur - c * prev)
+        mats.append(a1 @ mats[k])
+        mats[-1] -= c * mats[k - 1]
     mats[0] = None
     return mats
 
 
 def nbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:
-    """[NBW_1, ..., NBW_kmax] as exact ints (traces of the recurrence)."""
-    # summed as Python ints: n diagonal entries below 2^62 can pass 2^63
-    mats = _recurrence_matrices(g, kmax)
-    return [sum(map(int, mats[k].diagonal())) for k in range(1, kmax + 1)]
+    """[NBW_1, ..., NBW_kmax] as exact ints, the traces of A(1)..A(kmax).
+
+    The recurrence runs to h = ceil(kmax/2) only.  With U_0 = I, U_1 = A(1),
+    U_{j+1} = A(1)U_j - q*U_{j-1}: A(k) = U_k - (d2-1)U_{k-2} (U_{-1} = 0) and
+    tr U_aU_b = sum_{i<=min(a,b)} q^i tr U_{a+b-2i}, so <A(h), A(b)>_F gives
+    tr U_{h+b} for b <= h, in int64 only while n^2*max|A(h)|*max|A(b)| < 2^62.
+    """
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+    h = (kmax + 1) // 2
+    mats = _recurrence_matrices(g, h)
+    c, q = g.d2 - 1, g.q
+    t = {-1: 0, 0: g.n}  # t[k] = tr U_k; diagonals summed as Python ints can pass 2^63
+    for k in range(1, h + 1):
+        t[k] = sum(map(int, mats[k].diagonal())) + c * t[k - 2]
+
+    def tr_uu(a, b):  # tr U_a U_b with tr U_{a+b} read as 0 until it is known
+        return sum(q**i * t.get(a + b - 2 * i, 0) for i in range(min(a, b) + 1))
+
+    for b in range(1, kmax - h + 1):
+        x, y = mats[h], mats[b]
+        if x.dtype != object and x.size * _absmax(x) * _absmax(y) >= _INT64_SAFE:
+            x, y = x.astype(object), y.astype(object)
+        rest = tr_uu(h, b) - c * (tr_uu(h, b - 2) + tr_uu(h - 2, b)) + c * c * tr_uu(h - 2, b - 2)
+        t[h + b] = int(np.vdot(x, y)) - rest
+    return [t[k] - c * t[k - 2] for k in range(1, kmax + 1)]
 
 
 def cnbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:

@@ -116,6 +116,17 @@ def test_computation_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_identity_horizon_is_an_error(tmp_path, capsys):
+    g = tmp_path / "g.json"
+    assert run(["sample", "--n", "12", "--m", "12", "--d1", "3", "--d2", "3",
+                "--seed", "0", "--out", str(g)]) == 0
+    capsys.readouterr()
+    assert run(["identity", "--in", str(g), "--kmax", "-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: kmax must be >= 0\n"
+    assert captured.out == ""
+
+
 def test_unknown_config_key_is_a_typed_error(tmp_path, capsys):
     cfg = tmp_path / "bogus.json"
     cfg.write_text(json.dumps({
@@ -213,5 +224,5 @@ def test_identity_runs_the_walk_recurrence_once(tmp_path, recurrence_calls):
                 "--seed", "0", "--out", str(g)]) == 0
     out = tmp_path / "id.tsv"
     assert run(["identity", "--in", str(g), "--kmax", "14", "--out", str(out)]) == 0
-    assert recurrence_calls == [14]
+    assert recurrence_calls == [7]
     assert len(out.read_text().splitlines()) == 15

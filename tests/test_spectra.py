@@ -79,7 +79,7 @@ def test_nbw_identity_random_corpus():
 def test_identity_residuals_run_the_recurrence_once(recurrence_calls):
     g = random_corpus(1, 300, 300, 3, 3, seed=0)[0]
     residuals = identity_residuals(g, 14)
-    assert recurrence_calls == [14]
+    assert recurrence_calls == [7]
     assert len(residuals) == 14
     assert max(max(pair) for pair in residuals) <= 1e-6
     assert identity_residuals(g, 0) == []

@@ -149,6 +149,9 @@ def test_nbw_matrices_hexagon(hexagon):
 def test_nbw_counts_fixtures(k22, hexagon):
     assert nbw_counts_up_to(k22, 3) == [0, 4, 0]
     assert nbw_counts_up_to(hexagon, 3)[2] == 6
+    assert nbw_counts_up_to(k22, 0) == []
+    with pytest.raises(ValueError, match="kmax must be >= 0"):
+        nbw_counts_up_to(k22, -1)
 
 
 def test_cnbw_fixtures(k22, hexagon):
@@ -188,6 +191,26 @@ def test_nbw_count_trace_does_not_wrap():
     # with a_1(x) = x, a_2(x) = x^2 - 56, a_{k+1}(x) = x a_k(x) - 49 a_{k-1}(x);
     # each diagonal entry of A(11) fits in int64, their sum does not
     assert nbw_counts_up_to(complete_bipartite(8, 8), 11)[10] == 14443508936700813312
+
+
+TRACE_GRAPHS = {
+    "3-3-n300": (lambda: sample_graph(300, 300, 3, 3, SamplerConfig(), trial_rng(0, 0)), 16),
+    "3-4-n120": (lambda: sample_graph(120, 90, 3, 4, SamplerConfig(), trial_rng(3, 0)), 16),
+    "K33": (lambda: complete_bipartite(3, 3), 40),
+    # the traces pass 2^63 by k = 14 while A(7) stays int64, so only the
+    # Frobenius-product guard keeps the high counts exact
+    "8-8-n100": (lambda: sample_graph(100, 100, 8, 8, SamplerConfig(), trial_rng(2, 0)), 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_GRAPHS))
+def test_nbw_counts_are_reference_traces_at_every_horizon(name):
+    build, top = TRACE_GRAPHS[name]
+    g = build()
+    ref = reference_recurrence(g, top)
+    traces = [sum(ref[k][i][i] for i in range(g.n)) for k in range(1, top + 1)]
+    for kmax in range(top + 1):
+        assert nbw_counts_up_to(g, kmax) == traces[:kmax], f"kmax={kmax}"
 
 
 # ---- independent oracle -----------------------------------------------------
