@@ -69,7 +69,7 @@ from .walks import (
     brute_force_walks,
     cnbw_counts_up_to,
     count_cycles,
-    nbw_counts_up_to,
+    walk_counts,
     walk_table,
 )
 

@@ -76,10 +76,8 @@ def gamma_poly(k: int, d1: int, x):
     """Gamma_k; equals Phi_k plus (d1-2)/(d1-1)^(k/2) for even k >= 2."""
     if d1 < 2:
         raise ValueError("d1 must be >= 2")
-    out = phi_poly(k, x)
-    if k >= 2 and k % 2 == 0:
-        out = out + (d1 - 2) / (d1 - 1) ** (k // 2)
-    return out
+    out, c = phi_poly(k, x), gamma_constant(k, d1)
+    return out + c if c else out
 
 
 def gamma_constant(k: int, d1: int) -> float:
@@ -296,6 +294,12 @@ def mu_cnbw(k: int, d1: int, d2: int) -> int:
     return sum(q**j for j in range(2, k + 1) if k % j == 0)
 
 
+def cnbw_constant(k: int, n: int, d1: int, d2: int) -> int:
+    """n(d1-2)(d2-1)^{k/2} for even k, 0 for odd k: CNBW_k minus
+    q^{k/2} sum_i Phi_k(lambda_i) over a graph with n V1 vertices."""
+    return n * (d1 - 2) * (d2 - 1) ** (k // 2) if k % 2 == 0 else 0
+
+
 def default_r_n(n: int, d1: int, d2: int, beta: float = 0.4) -> int:
     """floor(beta * log n / log q); the eigenvalue-statistic cutoff scale."""
     q = (d1 - 1) * (d2 - 1)
@@ -314,10 +318,7 @@ def m_f_n(expansion: ChebExpansion, n: int, d1: int, d2: int, r_n: int) -> float
     q = (d1 - 1) * (d2 - 1)
     total = n * a[0]
     for k in range(1, min(r_n, len(a) - 1) + 1):
-        term = mu_cnbw(k, d1, d2)
-        if k % 2 == 0:
-            term -= n * (d1 - 2) * (d2 - 1) ** (k // 2)
-        total += a[k] * term / q ** (k / 2)
+        total += a[k] * (mu_cnbw(k, d1, d2) - cnbw_constant(k, n, d1, d2)) / q ** (k / 2)
     return float(total)
 
 

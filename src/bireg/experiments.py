@@ -11,6 +11,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,10 @@ def poisson_cycle_mean(k: int, d1: int, d2: int) -> float:
     return ((d1 - 1) * (d2 - 1)) ** k / (2 * k)
 
 
+# the largest mean numpy's Generator.poisson accepts ("lam value too large")
+POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
+
+
 # ---------------------------------------------------------------------------
 # streaming moments
 # ---------------------------------------------------------------------------
@@ -45,6 +50,13 @@ class Moments:
         delta = x - self.mean
         self.mean += delta / self.count
         self.m2 += delta * (x - self.mean)
+
+    @classmethod
+    def of(cls, values) -> "Moments":
+        mom = cls()
+        for x in values:
+            mom.add(float(x))
+        return mom
 
     @property
     def variance(self) -> float:
@@ -76,12 +88,8 @@ def tv_empirical_product_poisson(tuples, mus) -> tuple:
     sqrt(cells/samples) estimates the positive bias of the plug-in TV.
     """
     mus = list(mus)
-    counts = {}
-    n = 0
-    for t in tuples:
-        key = tuple(int(x) for x in t)
-        counts[key] = counts.get(key, 0) + 1
-        n += 1
+    counts = Counter(tuple(int(x) for x in t) for t in tuples)
+    n = sum(counts.values())
     tv = 0.0
     mass = 0.0
     for key, c in counts.items():
@@ -234,9 +242,7 @@ def poisson_experiment(
     distances = {}
     for idx, k in enumerate(range(2, r + 1)):
         col = rows[:, idx]
-        mom = Moments()
-        for x in col:
-            mom.add(float(x))
+        mom = Moments.of(col)
         statistics[f"C{k}"] = {
             "mean": mom.mean,
             "variance": mom.variance,
@@ -306,6 +312,13 @@ def fluctuation_experiment_fixed(
     exp = expansion.to_gamma(d1)
     deg = exp.degree  # a constant-only expansion yields Y identically 0
     k_max = k_max or max(deg, 2)
+    for j in range(2, k_max + 1):
+        mu = poisson_cycle_mean(j, d1, d2)
+        if mu > POISSON_LAM_MAX:
+            raise MalformedInput(
+                f"k_max={k_max} is too large for (d1, d2) = ({d1}, {d2}): the limit draw "
+                f"needs Poisson(mu_{j}) with mu_{j} = {mu:.4g}, above numpy's limit {POISSON_LAM_MAX:.4g}"
+            )
     config = SamplerConfig(method=method, seed=seed)
     q = (d1 - 1) * (d2 - 1)
 
@@ -329,12 +342,7 @@ def fluctuation_experiment_fixed(
         exp.coefficient(k) * chebyshev.mu_cnbw(k, d1, d2) / q ** (k / 2)
         for k in range(2, deg + 1)
     )
-    mom = Moments()
-    for y in ys:
-        mom.add(y)
-    lm = Moments()
-    for y in limit:
-        lm.add(y)
+    mom, lm = Moments.of(ys), Moments.of(limit)
     report = ExperimentReport(
         name="fluctuation-fixed",
         params={

@@ -96,8 +96,7 @@ def identity_residuals(g: BiregularGraph, kmax: int, sample: SpectrumSample | No
     nbw_residual = |sum p_k(lambda_i) - q^{-k/2} NBW_k|, from one pass of the
     walk recurrence.
     """
-    nbw = walks.nbw_counts_up_to(g, kmax)
-    cnbw = walks.cnbw_from_nbw(g, nbw)
+    nbw, cnbw = walks.walk_counts(g, kmax)
     if sample is None:
         sample = eigenvalues(g)
     out = []

@@ -60,13 +60,8 @@ class Cycle:
 
     def edge_list(self) -> list:
         """The 2k edges as (V1, V2) pairs: (x_i, y_i) and (x_{i+1}, y_i)."""
-        xs, ys = self.xs, self.ys
-        k = self.k
-        out = []
-        for i in range(k):
-            out.append((xs[i], ys[i]))
-            out.append((xs[(i + 1) % k], ys[i]))
-        return out
+        xs, ys, k = self.xs, self.ys, self.k
+        return [e for i in range(k) for e in ((xs[i], ys[i]), (xs[(i + 1) % k], ys[i]))]
 
     def contained_in(self, g: BiregularGraph) -> bool:
         return all(g.has_edge(*e) for e in self.edge_list())
@@ -109,14 +104,16 @@ class SwitchingSpec:
         return self.alpha.edge_list() + list(self.e) + list(self.e_prime)
 
     def added_forward(self) -> list:
-        xs, ys = self.alpha.xs, self.alpha.ys
-        out = []
-        for i in range(self.alpha.k):
-            out.append((xs[i], self.e[i][1]))
-            out.append((xs[i], self.e_prime[i][1]))
-            out.append((self.e[i][0], ys[i]))
-            out.append((self.e_prime[i][0], ys[i]))
-        return out
+        return _added_forward(self.alpha.xs, self.alpha.ys, self.e, self.e_prime)
+
+
+def _added_forward(xs, ys, e, ep) -> list:
+    """The edges (x_i, v_i), (x_i, v'_i), (u_i, y_i), (u'_i, y_i) for i < k."""
+    return [
+        edge
+        for i in range(len(xs))
+        for edge in ((xs[i], e[i][1]), (xs[i], ep[i][1]), (e[i][0], ys[i]), (ep[i][0], ys[i]))
+    ]
 
 
 def short_cycles(g: BiregularGraph, r: int, budget: int = SWITCH_BUDGET) -> list:
@@ -194,14 +191,23 @@ def apply_backward(g: BiregularGraph, spec: SwitchingSpec) -> BiregularGraph:
 # ---------------------------------------------------------------------------
 
 
-def _cycles_through_edge(adj1, adj2, a, b, rmax):
+def _spend(budget_state, units):
+    """Charge units of work to budget_state = [spent, budget]."""
+    budget_state[0] += units
+    if budget_state[0] > budget_state[1]:
+        raise TooLarge(f"switching enumeration exceeded budget {budget_state[1]}")
+
+
+def _cycles_through_edge(adj1, adj2, a, b, rmax, budget_state):
     """Canonical vertex tuples of simple cycles of length <= 2*rmax through
-    edge (a, b), a in V1, b in V2, in the graph given by adjacency dicts."""
+    edge (a, b), a in V1, b in V2, in the graph given by adjacency sets.
+    Each DFS step costs one unit of budget_state."""
 
     found = []
 
     def walk(path_x, path_y, at_v1):
         # path alternates b -> x -> y -> ... ; closes when reaching `a`
+        _spend(budget_state, 1)
         if at_v1:
             y = path_y[-1]
             for x in adj2[y]:
@@ -227,29 +233,41 @@ def _cycles_through_edge(adj1, adj2, a, b, rmax):
     return found
 
 
-def _modified_adjacency(g, removed, added):
-    full1 = dict(enumerate(map(set, g.adjacency_left.tolist())))
-    full2 = dict(enumerate(map(set, g.adjacency_right.tolist())))
+def _adjacency_sets(g):
+    """The two adjacency-set lists of g, which _creations_ok rewires in place."""
+    return [set(a) for a in g.adjacency_left.tolist()], [set(a) for a in g.adjacency_right.tolist()]
+
+
+def _rewire(adj, removed, added):
+    adj1, adj2 = adj
     for i, j in removed:
-        full1[i].discard(j)
-        full2[j].discard(i)
+        adj1[i].discard(j)
+        adj2[j].discard(i)
     for i, j in added:
-        full1[i].add(j)
-        full2[j].add(i)
-    return full1, full2
+        adj1[i].add(j)
+        adj2[j].add(i)
 
 
-def _creations_ok(g, removed, added, r, expect):
+def _creations_ok(adj, removed, added, r, expect, budget_state):
     """True iff the canonical forms of short cycles through added edges in the
-    rewired graph equal exactly `expect` (a set of canonical vertex tuples)."""
-    adj1, adj2 = _modified_adjacency(g, removed, added)
-    seen = set()
-    for a, b in added:
-        for cyc in _cycles_through_edge(adj1, adj2, a, b, r):
-            if cyc not in expect:
-                return False
-            seen.add(cyc)
-    return seen == expect
+    rewired graph equal exactly `expect` (a set of canonical vertex tuples).
+
+    adj holds the adjacency sets of g; removed are distinct edges of g and
+    added distinct non-edges, so rewiring adj in place and back restores it.
+    Each edited edge costs one unit of budget_state.
+    """
+    _spend(budget_state, len(removed) + len(added))
+    _rewire(adj, removed, added)
+    try:
+        seen = set()
+        for a, b in added:
+            for cyc in _cycles_through_edge(*adj, a, b, r, budget_state):
+                if cyc not in expect:
+                    return False
+                seen.add(cyc)
+        return seen == expect
+    finally:
+        _rewire(adj, added, removed)
 
 
 def valid_switchings(
@@ -276,9 +294,8 @@ def valid_switchings(
     for c in shorts:
         for e in c.edge_list():
             cycle_edges.setdefault(e, set()).add(c.vertices)
-    if direction == "forward":
-        return _enumerate_forward(g, alpha, r, cycle_edges, budget)
-    return _enumerate_backward(g, alpha, r, cycle_edges, budget)
+    args = (g, alpha, r, cycle_edges, _adjacency_sets(g), [0, budget])
+    return _enumerate_forward(*args) if direction == "forward" else _enumerate_backward(*args)
 
 
 def count_valid_switchings(
@@ -298,9 +315,7 @@ def _distinct_tuples(options, key, budget_state):
     out = []
 
     def rec(i, acc, used):
-        budget_state[0] += 1
-        if budget_state[0] > budget_state[1]:
-            raise TooLarge(f"switching enumeration exceeded budget {budget_state[1]}")
+        _spend(budget_state, 1)
         if i == k:
             out.append(tuple(acc))
             return
@@ -314,7 +329,7 @@ def _distinct_tuples(options, key, budget_state):
     return out
 
 
-def _enumerate_forward(g, alpha, r, cycle_edges, budget):
+def _enumerate_forward(g, alpha, r, cycle_edges, adj, budget_state):
     if not alpha.contained_in(g):
         raise EdgeMissing("alpha is not a cycle of the graph")
     alpha_key = alpha.vertices
@@ -322,15 +337,12 @@ def _enumerate_forward(g, alpha, r, cycle_edges, budget):
     for e in alpha.edge_list():
         if cycle_edges.get(e, set()) - {alpha_key}:
             return []
-    xs, ys = alpha.xs, alpha.ys
-    k = alpha.k
+    xs, ys, k = alpha.xs, alpha.ys, alpha.k
     free_edges = [e for e in g.edges if e not in cycle_edges]
-    options = []
-    for i in range(k):
-        nx = set(g.adjacency_left[xs[i]].tolist())
-        ny = set(g.adjacency_right[ys[i]].tolist())
-        options.append([(u, v) for (u, v) in free_edges if u not in ny and v not in nx])
-    budget_state = [0, budget]
+    adj1, adj2 = adj
+    options = [
+        [(u, v) for u, v in free_edges if u not in adj2[y] and v not in adj1[x]] for x, y in zip(xs, ys)
+    ]
     e_tuples = _distinct_tuples(options, key=lambda e: e[0], budget_state=budget_state)
     ep_tuples = _distinct_tuples(options, key=lambda e: e[1], budget_state=budget_state)
     alpha_removed = alpha.edge_list()
@@ -338,26 +350,21 @@ def _enumerate_forward(g, alpha, r, cycle_edges, budget):
     for et in e_tuples:
         et_set = set(et)
         for ept in ep_tuples:
-            budget_state[0] += 1
-            if budget_state[0] > budget_state[1]:
-                raise TooLarge(f"switching enumeration exceeded budget {budget}")
+            _spend(budget_state, 1)
             if et_set & set(ept):
                 continue
             removed = alpha_removed + list(et) + list(ept)
-            added = []
-            for i in range(k):
-                added += [(xs[i], et[i][1]), (xs[i], ept[i][1]), (et[i][0], ys[i]), (ept[i][0], ys[i])]
+            added = _added_forward(xs, ys, et, ept)
             if len(set(added)) != 4 * k:
                 continue
-            if _creations_ok(g, removed, added, r, expect=set()):
+            if _creations_ok(adj, removed, added, r, set(), budget_state):
                 key = (frozenset(removed), frozenset(added))
                 seen.setdefault(key, SwitchingSpec(alpha=alpha, e=et, e_prime=ept))
     return list(seen.values())
 
 
-def _enumerate_backward(g, alpha, r, cycle_edges, budget):
-    xs, ys = alpha.xs, alpha.ys
-    k = alpha.k
+def _enumerate_backward(g, alpha, r, cycle_edges, adj, budget_state):
+    xs, ys, k = alpha.xs, alpha.ys, alpha.k
     # paths v_i x_i v'_i: ordered pairs of distinct neighbours of x_i whose
     # edges lie on no short cycle (they get deleted)
     v_opts, u_opts = [], []
@@ -369,38 +376,30 @@ def _enumerate_backward(g, alpha, r, cycle_edges, budget):
     alpha_created = alpha.edge_list()
     expect = {alpha.vertices}
     seen = {}
-    counter = 0
 
     def pairs(level, acc):
-        nonlocal counter
         if level == k:
             yield tuple(acc)
             return
         for vv in v_opts[level]:
             for uu in u_opts[level]:
-                counter += 1
-                if counter > budget:
-                    raise TooLarge(f"switching enumeration exceeded budget {budget}")
+                _spend(budget_state, 1)
                 yield from pairs(level + 1, acc + [(vv, uu)])
 
     for choice in pairs(0, []):
-        removed = []
-        created = list(alpha_created)
-        for i in range(k):
-            (v, vp), (u, up) = choice[i]
-            removed += [(xs[i], v), (xs[i], vp), (u, ys[i]), (up, ys[i])]
-            created += [(u, v), (up, vp)]
+        e = tuple((u, v) for (v, _), (u, _) in choice)
+        ep = tuple((up, vp) for (_, vp), (_, up) in choice)
+        removed = _added_forward(xs, ys, e, ep)
+        created = alpha_created + [edge for pair in zip(e, ep) for edge in pair]
         if len(set(removed)) != 4 * k or len(set(created)) != 4 * k:
             continue
         removed_set = set(removed)
-        if any(e in removed_set for e in created):
+        if any(edge in removed_set for edge in created):
             continue  # degenerate delete-then-recreate rewiring
-        if any(e in g.edge_set for e in created):
+        if any(edge in g.edge_set for edge in created):
             continue
-        if _creations_ok(g, removed, created, r, expect=expect):
+        if _creations_ok(adj, removed, created, r, expect, budget_state):
             key = (frozenset(removed), frozenset(created))
-            e = tuple((choice[i][1][0], choice[i][0][0]) for i in range(k))
-            ep = tuple((choice[i][1][1], choice[i][0][1]) for i in range(k))
             seen.setdefault(key, SwitchingSpec(alpha=alpha, e=e, e_prime=ep))
     return list(seen.values())
 

@@ -5,13 +5,12 @@ as mutual oracles:
 
 * ``count_cycles`` -- DFS enumeration of simple 2k-cycles with canonical-start
   pruning (each cycle found exactly once).
-* ``nbw_counts_up_to`` / ``cnbw_counts_up_to`` -- the lists NBW_1..NBW_kmax
-  and CNBW_1..CNBW_kmax from one pass of the three-term matrix recurrence
-  A(1) = XX^T - d1*I, A(2) = A(1)^2 - d1(d2-1)*I,
-  A(k+1) = A(1)A(k) - (d1-1)(d2-1)A(k-1), with NBW_k = tr A(k) and the
-  tail recursion CNBW_k = NBW_k - q*NBW_{k-2} + (d2-1)*CNBW_{k-2}
-  (``cnbw_from_nbw``, for callers that already hold the NBW list).  It runs
-  to ceil(kmax/2) only: the higher traces come from Frobenius products.
+* ``walk_counts`` -- the lists NBW_1..NBW_kmax and CNBW_1..CNBW_kmax from the
+  traces t_k = tr U_k of the Chebyshev family U_0 = I, U_1 = A1 = XX^T - d1*I,
+  U_{j+1} = A1*U_j - q*U_{j-1} (Ihara-Bass form): NBW_k = t_k - (d2-1)t_{k-2}
+  and CNBW_k = t_k - q*t_{k-2} + n(d1-2)(d2-1)^{k/2} (the last term for even
+  k only).  The recurrence runs to ceil(kmax/2); the higher traces come from
+  Frobenius products.  ``cnbw_counts_up_to`` returns the CNBW list alone.
 * ``brute_force_walks`` -- evaluates the same two lists from scratch:
   exhaustive DFS over *plain* closed walks (the only constraint being that
   consecutive V1 vertices differ) combined with the explicit coefficient
@@ -30,6 +29,7 @@ from math import comb
 
 import numpy as np
 
+from .chebyshev import cnbw_constant
 from .errors import HorizonTooLarge, TooLarge
 from .graph import BiregularGraph, gram_shifted_sparse
 
@@ -80,8 +80,6 @@ def enumerate_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET):
 
 def count_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET) -> int:
     """Number of simple cycles of length 2k."""
-    if k < 2:
-        return 0
     return sum(1 for _ in enumerate_cycles(g, k, budget))
 
 
@@ -94,70 +92,65 @@ def _absmax(x) -> int:
     return int(max(x.max(), -x.min()))
 
 
-def _recurrence_matrices(g: BiregularGraph, kmax: int):
-    """A(1)..A(kmax) as exact integer matrices.
+def _u_matrices(g: BiregularGraph, kmax: int) -> list:
+    """[U_1, ..., U_kmax] as exact integer matrices: U_1 = A1 = XX^T - d1*I and
+    U_{j+1} = A1*U_j - q*U_{j-1}, with U_0 = I entering U_2 as a diagonal -q.
 
-    Each step multiplies the sparse A(1) into the dense A(k).  A row of A(1)
-    has absolute sum d1(d2-1) (zero diagonal, co-degrees adding up to
-    d1(d2-1)), so every partial sum of a step is at most
-    d1(d2-1)*max|A(k)| + c*max|A(k-1)|.  While that measured bound stays
-    below 2^62 the step runs in int64; once it does not, the matrices become
-    Python-int arrays.  A(0) = I with c = d1(d2-1) gives the A(2) step.
+    Each step multiplies the sparse A1 into the dense U_j.  A row of A1 has
+    absolute sum d1(d2-1) (zero diagonal, co-degrees adding up to d1(d2-1)),
+    so every partial sum of a step is at most d1(d2-1)*max|U_j| +
+    q*max|U_{j-1}|.  While that measured bound stays below 2^62 the step runs
+    in int64; once it does not, the matrices become Python-int arrays.
     """
     a1 = gram_shifted_sparse(g)
-    dq = g.d1 * (g.d2 - 1)
-    mats = [np.eye(g.n, dtype=np.int64), a1.toarray()]
-    for k in range(1, kmax):
-        c = dq if k == 1 else g.q
-        if mats[k].dtype != object and dq * _absmax(mats[k]) + c * _absmax(mats[k - 1]) >= _INT64_SAFE:
-            mats = [np.array(m.tolist(), dtype=object) for m in mats]
-            a1 = mats[1]
-        mats.append(a1 @ mats[k])
-        mats[-1] -= c * mats[k - 1]
-    mats[0] = None
+    row, q = g.d1 * (g.d2 - 1), g.q
+    mats = [a1.toarray()][:kmax]
+    for j in range(1, kmax):
+        prev_max = _absmax(mats[j - 2]) if j > 1 else 1  # U_0 = I
+        if mats[j - 1].dtype != object and row * _absmax(mats[j - 1]) + q * prev_max >= _INT64_SAFE:
+            mats = [m.astype(object) for m in mats]
+            a1 = mats[0]
+        nxt = a1 @ mats[j - 1]
+        if j == 1:
+            nxt[np.diag_indices(g.n)] -= q
+        else:
+            nxt -= q * mats[j - 2]
+        mats.append(nxt)
     return mats
 
 
-def nbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:
-    """[NBW_1, ..., NBW_kmax] as exact ints, the traces of A(1)..A(kmax).
+def walk_counts(g: BiregularGraph, kmax: int) -> tuple:
+    """([NBW_1..NBW_kmax], [CNBW_1..CNBW_kmax]) as exact ints, from the traces
+    t_k = tr U_k (t_0 = n, t_{-1} = 0):
 
-    The recurrence runs to h = ceil(kmax/2) only.  With U_0 = I, U_1 = A(1),
-    U_{j+1} = A(1)U_j - q*U_{j-1}: A(k) = U_k - (d2-1)U_{k-2} (U_{-1} = 0) and
-    tr U_aU_b = sum_{i<=min(a,b)} q^i tr U_{a+b-2i}, so <A(h), A(b)>_F gives
-    tr U_{h+b} for b <= h, in int64 only while n^2*max|A(h)|*max|A(b)| < 2^62.
+    NBW_k = t_k - (d2-1)*t_{k-2},  CNBW_k = t_k - q*t_{k-2} + cnbw_constant(k).
+
+    The recurrence runs to h = ceil(kmax/2) only.  Above h, the product
+    identity U_aU_b = sum_{i<=min(a,b)} q^i U_{a+b-2i} gives
+    t_{h+b} = <U_h, U_b>_F - sum_{i=1..b} q^i t_{h+b-2i} for b <= h, in int64
+    only while n^2*max|U_h|*max|U_b| < 2^62.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     h = (kmax + 1) // 2
-    mats = _recurrence_matrices(g, h)
-    c, q = g.d2 - 1, g.q
-    t = {-1: 0, 0: g.n}  # t[k] = tr U_k; diagonals summed as Python ints can pass 2^63
-    for k in range(1, h + 1):
-        t[k] = sum(map(int, mats[k].diagonal())) + c * t[k - 2]
-
-    def tr_uu(a, b):  # tr U_a U_b with tr U_{a+b} read as 0 until it is known
-        return sum(q**i * t.get(a + b - 2 * i, 0) for i in range(min(a, b) + 1))
-
+    mats = _u_matrices(g, h)
+    q = g.q
+    # diagonals summed as Python ints: a trace can pass 2^63
+    t = [g.n] + [sum(map(int, u.diagonal())) for u in mats]
     for b in range(1, kmax - h + 1):
-        x, y = mats[h], mats[b]
+        x, y = mats[h - 1], mats[b - 1]
         if x.dtype != object and x.size * _absmax(x) * _absmax(y) >= _INT64_SAFE:
             x, y = x.astype(object), y.astype(object)
-        rest = tr_uu(h, b) - c * (tr_uu(h, b - 2) + tr_uu(h - 2, b)) + c * c * tr_uu(h - 2, b - 2)
-        t[h + b] = int(np.vdot(x, y)) - rest
-    return [t[k] - c * t[k - 2] for k in range(1, kmax + 1)]
+        t.append(int(np.vdot(x, y)) - sum(q**i * t[h + b - 2 * i] for i in range(1, b + 1)))
+    rows = list(zip(range(1, kmax + 1), t[1:], [0] + t[:-2]))  # (k, t_k, t_{k-2})
+    nbw = [tk - (g.d2 - 1) * tk2 for _, tk, tk2 in rows]
+    cnbw = [tk - q * tk2 + cnbw_constant(k, g.n, g.d1, g.d2) for k, tk, tk2 in rows]
+    return nbw, cnbw
 
 
 def cnbw_counts_up_to(g: BiregularGraph, kmax: int) -> list:
-    """[CNBW_1, ..., CNBW_kmax] via the tail recursion seeded at k = 1, 2."""
-    return cnbw_from_nbw(g, nbw_counts_up_to(g, kmax))
-
-
-def cnbw_from_nbw(g: BiregularGraph, nbw: list) -> list:
-    """CNBW_k = NBW_k - q*NBW_{k-2} + (d2-1)*CNBW_{k-2}, with CNBW = NBW at k = 1, 2."""
-    out = list(nbw[:2])
-    for k in range(3, len(nbw) + 1):
-        out.append(nbw[k - 1] - g.q * nbw[k - 3] + (g.d2 - 1) * out[k - 3])
-    return out
+    """[CNBW_1, ..., CNBW_kmax] as exact ints (see walk_counts)."""
+    return walk_counts(g, kmax)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +252,7 @@ def walk_table(g: BiregularGraph, r: int, budget: int = CYCLE_BUDGET) -> WalkCou
     if r < 1:
         raise ValueError("r must be >= 1")
     cycles = [0] + [count_cycles(g, k, budget) for k in range(2, r + 1)]
-    nbw = nbw_counts_up_to(g, r)
-    cnbw = cnbw_from_nbw(g, nbw)
+    nbw, cnbw = walk_counts(g, r)
     bad = []
     for k in range(1, r + 1):
         repeats = sum(2 * j * cycles[j - 1] for j in range(1, k + 1) if k % j == 0)

@@ -34,11 +34,11 @@ def random_corpus(count, n, m, d1, d2, seed=0):
 def recurrence_calls(monkeypatch):
     """The kmax of every walk-recurrence run made during the test."""
     calls = []
-    recurrence = walks._recurrence_matrices
+    recurrence = walks._u_matrices
 
     def counted(g, kmax):
         calls.append(kmax)
         return recurrence(g, kmax)
 
-    monkeypatch.setattr(walks, "_recurrence_matrices", counted)
+    monkeypatch.setattr(walks, "_u_matrices", counted)
     return calls

@@ -38,7 +38,7 @@ from bireg.switching import (
     short_cycles,
     valid_switchings,
 )
-from bireg.walks import brute_force_walks, cnbw_counts_up_to, count_cycles, nbw_counts_up_to
+from bireg.walks import brute_force_walks, cnbw_counts_up_to, count_cycles, walk_counts
 from conftest import HEX_EDGES
 
 DEGREE_CASES = [(3, 3, 60, 60), (4, 3, 30, 40), (6, 3, 30, 60), (4, 2, 30, 60)]
@@ -73,7 +73,7 @@ def test_criterion_2_nbw_identity():
     worst = 0.0
     for g in _identity_corpus():
         s = eigenvalues(g)
-        nbw = nbw_counts_up_to(g, 6)
+        nbw = walk_counts(g, 6)[0]
         for k, (_, resid) in enumerate(identity_residuals(g, 6, s), start=1):
             rhs = nbw[k - 1] / g.q ** (k / 2)
             worst = max(worst, resid / max(1.0, abs(rhs)))
@@ -93,8 +93,9 @@ def test_criterion_3_oracle_equivalence():
     mismatches = 0
     for g in corpus:
         nbw, cnbw = brute_force_walks(g, 4)
-        mismatches += sum(a != b for a, b in zip(nbw, nbw_counts_up_to(g, 4)))
-        mismatches += sum(a != b for a, b in zip(cnbw, cnbw_counts_up_to(g, 4)))
+        nbw_rec, cnbw_rec = walk_counts(g, 4)
+        mismatches += sum(a != b for a, b in zip(nbw, nbw_rec))
+        mismatches += sum(a != b for a, b in zip(cnbw, cnbw_rec))
     ok = mismatches == 0
     assert _report(3, "oracle equivalence", ok, f"{len(corpus)} graphs, k<=4, {mismatches} mismatches (exact equality)")
 

@@ -218,6 +218,20 @@ def test_badly_typed_graph_file_is_a_typed_error(tmp_path, capsys, command, data
     assert "Traceback" not in err
 
 
+def test_oversized_poisson_mean_is_a_typed_error(tmp_path, capsys):
+    # exp at (8, 8) has Gamma-degree k_max >= 12, and 49^12/24 passes numpy's
+    # Poisson limit; the error comes before any graph is sampled
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "experiment": "fluctuation-fixed",
+        "params": {"n": 100, "d1": 8, "d2": 8, "expansion": "exp", "samples": 2},
+    }))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "k_max" in err
+    assert "Traceback" not in err
+
+
 def test_identity_runs_the_walk_recurrence_once(tmp_path, recurrence_calls):
     g = tmp_path / "g.json"
     assert run(["sample", "--n", "300", "--m", "300", "--d1", "3", "--d2", "3",

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from bireg import switching
 from bireg.errors import BiregError, EdgeMissing, PreconditionViolated, TooLarge
 from bireg.graph import BiregularGraph
-from bireg.sampler import sample_configuration, trial_rng
+from bireg.sampler import SamplerConfig, sample_configuration, sample_graph, trial_rng
 from bireg.switching import (
     Cycle,
     SwitchingSpec,
@@ -270,3 +271,24 @@ def test_enumeration_budget():
             break
     with pytest.raises(TooLarge):
         count_valid_switchings(g, cycles[0], 2, "forward", budget=20)
+
+
+def test_budget_counts_the_cycle_searches(monkeypatch):
+    # the graph of `bireg sample --n 60 --m 40 --d1 4 --d2 6 --seed 0`; the
+    # forward count of this 4-cycle needs far more work than the budget, and
+    # each tuple pair that passes the cheap filters runs up to 4k cycle searches
+    g = sample_graph(60, 40, 4, 6, SamplerConfig(seed=0), trial_rng(0))
+    alpha = Cycle((2, 16, 57, 18))
+    budget = 10**5
+    calls = []
+    search = switching._cycles_through_edge
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= budget, "cycle searches ran past the budget"
+        return search(*args)
+
+    monkeypatch.setattr(switching, "_cycles_through_edge", counted)
+    with pytest.raises(TooLarge):
+        valid_switchings(g, alpha, 2, "forward", budget=budget)
+    assert 0 < len(calls) <= budget

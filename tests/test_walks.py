@@ -16,13 +16,13 @@ from bireg.errors import TooLarge
 from bireg.graph import complete_bipartite
 from bireg.sampler import SamplerConfig, sample_graph, trial_rng
 from bireg.walks import (
-    _recurrence_matrices,
+    _u_matrices,
     brute_force_walks,
     closed_walk_counts,
     cnbw_counts_up_to,
     count_cycles,
     enumerate_cycles,
-    nbw_counts_up_to,
+    walk_counts,
     walk_table,
 )
 from conftest import random_corpus
@@ -66,8 +66,24 @@ def reference_recurrence(g, kmax):
     return mats
 
 
+def a_matrices(g, kmax):
+    """[None, A(1), ..., A(kmax)] formed from the library's U family as
+    A(k) = U_k - (d2-1) U_{k-2}, with U_0 = I and U_{-1} = 0."""
+    us = [0, np.eye(g.n, dtype=np.int64)] + _u_matrices(g, kmax)  # us[k+1] = U_k
+    return [None] + [us[k + 1] - (g.d2 - 1) * us[k - 1] for k in range(1, kmax + 1)]
+
+
+def tail_recursion_cnbw(g, nbw):
+    """CNBW from an NBW list by CNBW_k = NBW_k - q NBW_{k-2} + (d2-1) CNBW_{k-2},
+    seeded with CNBW = NBW at k = 1, 2.  Test-only reference."""
+    out = list(nbw[:2])
+    for k in range(3, len(nbw) + 1):
+        out.append(nbw[k - 1] - g.q * nbw[k - 3] + (g.d2 - 1) * out[k - 3])
+    return out
+
+
 def assert_matches_reference(g, kmax):
-    mats = _recurrence_matrices(g, kmax)
+    mats = a_matrices(g, kmax)
     ref = reference_recurrence(g, kmax)
     for k in range(1, kmax + 1):
         assert mats[k].tolist() == ref[k], f"A({k}) differs"
@@ -132,7 +148,7 @@ def test_cycle_budget():
 
 
 def test_nbw_matrices_k22(k22):
-    mats = _recurrence_matrices(k22, 3)
+    mats = a_matrices(k22, 3)
     assert np.array_equal(mats[1], [[0, 2], [2, 0]])
     assert np.array_equal(mats[2], 2 * np.eye(2))
     assert np.array_equal(mats[3], mats[1])
@@ -140,18 +156,18 @@ def test_nbw_matrices_k22(k22):
 
 def test_nbw_matrices_hexagon(hexagon):
     j = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
-    mats = _recurrence_matrices(hexagon, 3)
+    mats = a_matrices(hexagon, 3)
     assert np.array_equal(mats[1], j)
     assert np.array_equal(mats[2], j)
     assert np.array_equal(mats[3], 2 * np.eye(3))
 
 
 def test_nbw_counts_fixtures(k22, hexagon):
-    assert nbw_counts_up_to(k22, 3) == [0, 4, 0]
-    assert nbw_counts_up_to(hexagon, 3)[2] == 6
-    assert nbw_counts_up_to(k22, 0) == []
+    assert walk_counts(k22, 3)[0] == [0, 4, 0]
+    assert walk_counts(hexagon, 3)[0][2] == 6
+    assert walk_counts(k22, 0) == ([], [])
     with pytest.raises(ValueError, match="kmax must be >= 0"):
-        nbw_counts_up_to(k22, -1)
+        walk_counts(k22, -1)
 
 
 def test_cnbw_fixtures(k22, hexagon):
@@ -163,7 +179,7 @@ def test_cnbw_fixtures(k22, hexagon):
 
 def test_nbw_matrix_entries_nonnegative():
     for g in random_corpus(5, 10, 10, 3, 3, seed=11):
-        mats = _recurrence_matrices(g, 6)
+        mats = a_matrices(g, 6)
         for k in range(1, 7):
             assert np.all(mats[k] >= 0)
 
@@ -182,7 +198,7 @@ def test_recurrence_matches_reference_on_sampled_graph():
 
 def test_recurrence_switches_tiers_mid_run():
     g = complete_bipartite(8, 8)
-    assert _recurrence_matrices(g, 6)[6].dtype == np.int64
+    assert _u_matrices(g, 6)[5].dtype == np.int64
     assert assert_matches_reference(g, 12)[12].dtype == object
 
 
@@ -190,7 +206,7 @@ def test_nbw_count_trace_does_not_wrap():
     # A(1) = 8J - 8I has spectrum {56, -8 (x7)}, so NBW_11 = a_11(56) + 7 a_11(-8)
     # with a_1(x) = x, a_2(x) = x^2 - 56, a_{k+1}(x) = x a_k(x) - 49 a_{k-1}(x);
     # each diagonal entry of A(11) fits in int64, their sum does not
-    assert nbw_counts_up_to(complete_bipartite(8, 8), 11)[10] == 14443508936700813312
+    assert walk_counts(complete_bipartite(8, 8), 11)[0][10] == 14443508936700813312
 
 
 TRACE_GRAPHS = {
@@ -200,17 +216,22 @@ TRACE_GRAPHS = {
     # the traces pass 2^63 by k = 14 while A(7) stays int64, so only the
     # Frobenius-product guard keeps the high counts exact
     "8-8-n100": (lambda: sample_graph(100, 100, 8, 8, SamplerConfig(), trial_rng(2, 0)), 14),
+    # d1 = 2: the CNBW constant n(d1-2)(d2-1)^{k/2} vanishes
+    "2-3-n60": (lambda: sample_graph(60, 40, 2, 3, SamplerConfig(), trial_rng(5, 0)), 14),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TRACE_GRAPHS))
 def test_nbw_counts_are_reference_traces_at_every_horizon(name):
+    # NBW against the traces of the reference A(k); CNBW against the tail
+    # recursion over those traces
     build, top = TRACE_GRAPHS[name]
     g = build()
     ref = reference_recurrence(g, top)
     traces = [sum(ref[k][i][i] for i in range(g.n)) for k in range(1, top + 1)]
+    cnbw = tail_recursion_cnbw(g, traces)
     for kmax in range(top + 1):
-        assert nbw_counts_up_to(g, kmax) == traces[:kmax], f"kmax={kmax}"
+        assert walk_counts(g, kmax) == (traces[:kmax], cnbw[:kmax]), f"kmax={kmax}"
 
 
 # ---- independent oracle -----------------------------------------------------
@@ -230,12 +251,12 @@ def test_plain_walk_counts_match_traces(k33, hexagon):
 
 def test_brute_force_matches_recurrence_fixtures(k22, k33, hexagon):
     for g in (k22, k33, hexagon):
-        assert brute_force_walks(g, 4) == (nbw_counts_up_to(g, 4), cnbw_counts_up_to(g, 4))
+        assert brute_force_walks(g, 4) == walk_counts(g, 4)
 
 
 def test_brute_force_matches_recurrence_random():
     for g in random_corpus(8, 12, 12, 3, 3, seed=12):
-        assert brute_force_walks(g, 4) == (nbw_counts_up_to(g, 4), cnbw_counts_up_to(g, 4))
+        assert brute_force_walks(g, 4) == walk_counts(g, 4)
 
 
 def test_brute_force_budget():
@@ -249,7 +270,7 @@ def test_brute_force_budget():
 def test_junction_rule_matches_counts_up_to_k3():
     corpus = [complete_bipartite(3, 3)] + random_corpus(4, 10, 10, 3, 3, seed=13)
     for g in corpus:
-        nbw, cnbw = nbw_counts_up_to(g, 3), cnbw_counts_up_to(g, 3)
+        nbw, cnbw = walk_counts(g, 3)
         for k in (1, 2, 3):
             assert junction_rule_walks(g, k, cyclic=False) == nbw[k - 1]
             assert junction_rule_walks(g, k, cyclic=True) == cnbw[k - 1]
@@ -258,7 +279,7 @@ def test_junction_rule_matches_counts_up_to_k3():
 def test_junction_rule_matches_all_k_when_d2_is_2(hexagon):
     corpus = [hexagon] + random_corpus(3, 4, 8, 4, 2, seed=14)
     for g in corpus:
-        nbw, cnbw = nbw_counts_up_to(g, 5), cnbw_counts_up_to(g, 5)
+        nbw, cnbw = walk_counts(g, 5)
         for k in range(1, 6):
             assert junction_rule_walks(g, k, cyclic=False) == nbw[k - 1]
             assert junction_rule_walks(g, k, cyclic=True) == cnbw[k - 1]
