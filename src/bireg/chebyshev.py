@@ -308,6 +308,16 @@ def default_r_n(n: int, d1: int, d2: int, beta: float = 0.4) -> int:
     return int(beta * math.log(n) / math.log(q))
 
 
+def walk_sum(coeffs, counts, q: int, start=0):
+    """start + sum_{k>=1} coeffs[k] counts[k-1] q^{-k/2}, over the k that both
+    sequences reach: the pairing of expansion coefficients with walk counts
+    (CNBW_k, or their limit means) that every walk-based statistic uses."""
+    total = start
+    for k in range(1, min(len(coeffs) - 1, len(counts)) + 1):
+        total += (coeffs[k] * counts[k - 1]) / q ** (k / 2)
+    return total
+
+
 def m_f_n(expansion: ChebExpansion, n: int, d1: int, d2: int, r_n: int) -> float:
     """Deterministic centering for growing-degree linear statistics.
 
@@ -315,16 +325,9 @@ def m_f_n(expansion: ChebExpansion, n: int, d1: int, d2: int, r_n: int) -> float
     for even k), with Phi-basis coefficients a_k.
     """
     a = expansion.to_phi().coeffs
-    q = (d1 - 1) * (d2 - 1)
-    total = n * a[0]
-    for k in range(1, min(r_n, len(a) - 1) + 1):
-        total += a[k] * (mu_cnbw(k, d1, d2) - cnbw_constant(k, n, d1, d2)) / q ** (k / 2)
-    return float(total)
-
-
-def fixed_interval_halfwidth(d1: int, d2: int) -> float:
-    """Deterministic top eigenvalue d1 sqrt(d2-1)/sqrt(d1-1) of the scaled Gram."""
-    return d1 * math.sqrt(d2 - 1) / math.sqrt(d1 - 1)
+    ks = range(1, min(r_n, len(a) - 1) + 1)
+    counts = [mu_cnbw(k, d1, d2) - cnbw_constant(k, n, d1, d2) for k in ks]
+    return float(walk_sum(a, counts, (d1 - 1) * (d2 - 1), start=n * a[0]))
 
 
 def basis_element(basis: str, k: int, d1: int | None = None) -> ChebExpansion:

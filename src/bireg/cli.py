@@ -67,7 +67,6 @@ def _cmd_walks(args):
 
 def _cmd_spectrum(args):
     g = load_graph(args.input)
-    sample = spectra.eigenvalues(g)
     if args.density:
         xs = np.linspace(-2.0, 2.0, args.points)
         params = {"d1": g.d1, "d2": g.d2} if args.density == "fixed-degree" else (
@@ -77,6 +76,7 @@ def _cmd_spectrum(args):
         rows = list(zip((f"{x:.6f}" for x in xs), (f"{d:.8f}" for d in dens)))
         _emit(_table(rows, ["x", "density"]), args.out)
         return 0
+    sample = spectra.eigenvalues(g)
     if args.bins:
         hist, edges = np.histogram(sample.bulk, bins=args.bins)
         rows = [(f"{edges[i]:.6f}", f"{edges[i + 1]:.6f}", int(hist[i])) for i in range(len(hist))]
@@ -97,7 +97,6 @@ def _cmd_identity(args):
 
 def _cmd_switchings(args):
     g = load_graph(args.input)
-    rng = trial_rng(args.seed)
     rows = []
     for alpha in switching.short_cycles(g, args.r):
         if args.kmax and alpha.k > args.kmax:
@@ -185,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues, histogram, or density curves")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--bins", type=int, default=0)
-    p.add_argument("--density", choices=["semicircle", "fixed-degree", "shifted-mp"])
+    p.add_argument("--density", choices=list(spectra.MODEL_PARAMS))
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--out")

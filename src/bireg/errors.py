@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the type check of JSON input."""
+"""Exception types shared across the package, and the checks of JSON config input."""
 
 from numbers import Integral
 
@@ -83,3 +83,13 @@ def check_int(where: str, key: str, value, allow_none: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, Integral):
         kind = "an integer or null" if allow_none else "an integer"
         raise MalformedInput(f"{where} key {key!r} must be {kind}, got {value!r}")
+
+
+def check_config_keys(where: str, data: dict, allowed: set) -> None:
+    """Raise UnknownConfigKey naming every key of data outside allowed."""
+    unknown = sorted(set(data) - allowed)
+    if unknown:
+        raise UnknownConfigKey(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )

@@ -20,22 +20,19 @@ trials derive independent streams via ``trial_rng(seed, trial_index)``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._switch_kernel import run_swaps
-from .errors import (
-    BalanceViolation,
-    RejectionBudgetExceeded,
-    SeedConstructionFailed,
-    TooLarge,
-    UnknownConfigKey,
-)
+from .errors import BalanceViolation, RejectionBudgetExceeded, SeedConstructionFailed, TooLarge
 from .graph import BiregularGraph
 
 ENUMERATION_LIMIT = 25  # max n*m for enumerate_all
 PROPOSAL_BLOCK = 1 << 14
+MAX_REJECTIONS = 10000  # stub-matching attempts per graph
+BURNIN_FACTOR = 20  # switch-chain burn-in target: BURNIN_FACTOR * |E| accepted swaps
+DENSE_THRESHOLD = 0.25  # auto picks the switch chain when d1*d2 > DENSE_THRESHOLD * n
 
 
 def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
@@ -45,19 +42,16 @@ def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
 
 @dataclass
 class SamplerConfig:
-    """Sampling method and budgets.
+    """Sampling method and the switch chain's post-burn-in steps.
 
     method: "auto" picks exact-rejection in the sparse regime and the switch
-    chain when rejection is hopeless (dense threshold d1*d2 > n/4, or
-    configuration-model acceptance estimate exp(-q/2) below 1/max_rejections).
+    chain when rejection is hopeless (d1*d2 > DENSE_THRESHOLD * n, or
+    configuration-model acceptance estimate exp(-q/2) below 1/MAX_REJECTIONS).
     """
 
     method: str = "auto"
     mcmc_steps: int = 2000
     seed: int = 0
-    max_rejections: int = 10000
-    burnin_factor: int = 20  # target accepted swaps = burnin_factor * |E|
-    dense_threshold: float = 0.25  # switch chain when d1*d2 > dense_threshold * n
 
     def __post_init__(self):
         if self.method not in ("auto", "exact-rejection", "switch-chain"):
@@ -65,34 +59,16 @@ class SamplerConfig:
         if self.method == "switch-chain" and self.mcmc_steps < 1:
             raise ValueError("mcmc_steps must be >= 1 for the switch chain")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SamplerConfig":
-        check_config_keys("sampler config", data, {f.name for f in fields(cls)})
-        return cls(**data)
-
     def resolve_method(self, n: int, m: int, d1: int, d2: int) -> str:
         if self.method != "auto":
             return self.method
         q = (d1 - 1) * (d2 - 1)
-        if d1 * d2 > self.dense_threshold * n:
+        if d1 * d2 > DENSE_THRESHOLD * n:
             return "switch-chain"
         # expected rejection count ~ exp(q/2); stay within budget
-        if q / 2.0 > np.log(max(self.max_rejections, 2)):
+        if q / 2.0 > np.log(MAX_REJECTIONS):
             return "switch-chain"
         return "exact-rejection"
-
-
-def check_config_keys(where: str, data: dict, allowed: set) -> None:
-    """Raise UnknownConfigKey naming every key of data outside allowed."""
-    unknown = sorted(set(data) - allowed)
-    if unknown:
-        raise UnknownConfigKey(
-            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
 
 
 def _check_params(n, m, d1, d2):
@@ -114,7 +90,7 @@ def _matching_edges(n, m, d1, d2, rng):
     return np.column_stack((rows, cols))
 
 
-def sample_configuration(n, m, d1, d2, rng, max_rejections=10000) -> BiregularGraph:
+def sample_configuration(n, m, d1, d2, rng, max_rejections=MAX_REJECTIONS) -> BiregularGraph:
     """Exactly uniform sample by stub matching with rejection of multi-edges."""
     _check_params(n, m, d1, d2)
     for _ in range(max_rejections):
@@ -168,7 +144,7 @@ def _run_chain(g: BiregularGraph, rng, burnin_target, steps):
 def sample_switch_chain(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGraph:
     """Approximately uniform sample from a fresh double-edge-swap chain."""
     g0 = seed_graph(n, m, d1, d2)
-    burnin_target = config.burnin_factor * len(g0.keys)
+    burnin_target = BURNIN_FACTOR * len(g0.keys)
     return _run_chain(g0, rng, burnin_target, config.mcmc_steps)
 
 
@@ -176,7 +152,7 @@ def sample_graph(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGraph:
     """Dispatch on the configured (or auto-resolved) method."""
     method = config.resolve_method(n, m, d1, d2)
     if method == "exact-rejection":
-        return sample_configuration(n, m, d1, d2, rng, config.max_rejections)
+        return sample_configuration(n, m, d1, d2, rng)
     return sample_switch_chain(n, m, d1, d2, config, rng)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -25,6 +25,8 @@ from .errors import SolverFailure
 from .graph import BiregularGraph, scaled_gram
 
 _CDF_GRID = 1 << 13
+# the reference laws and the keys of their parameter dicts
+MODEL_PARAMS = {"semicircle": (), "fixed-degree": ("d1", "d2"), "shifted-mp": ("alpha",)}
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ def eigenvalues(g: BiregularGraph) -> SpectrumSample:
 
 
 def linear_statistic(sample: SpectrumSample, f) -> float:
-    """sum_i f(lambda_i) for a callable or a ChebExpansion."""
+    """sum_i f(lambda_i) for a callable or a ChebExpansion; the one place a
+    polynomial statistic meets the eigenvalues."""
     return float(np.sum(np.asarray(f(sample.eigenvalues), dtype=float)))
 
 
@@ -102,8 +105,8 @@ def identity_residuals(g: BiregularGraph, kmax: int, sample: SpectrumSample | No
     out = []
     for k in range(1, kmax + 1):
         scale = g.q ** (k / 2)
-        gamma_lhs = float(np.sum(chebyshev.gamma_poly(k, g.d1, sample.eigenvalues)))
-        nbw_lhs = float(np.sum(chebyshev.p_poly(k, g.d1, sample.eigenvalues)))
+        gamma_lhs = linear_statistic(sample, partial(chebyshev.gamma_poly, k, g.d1))
+        nbw_lhs = linear_statistic(sample, partial(chebyshev.p_poly, k, g.d1))
         out.append((abs(gamma_lhs - cnbw[k - 1] / scale), abs(nbw_lhs - nbw[k - 1] / scale)))
     return out
 

@@ -10,16 +10,18 @@ from bireg.chebyshev import (
     basis_element,
     builtin_function,
     cheb_eval,
+    cnbw_constant,
     cov_fg,
     default_r_n,
     fit_expansion,
-    fixed_interval_halfwidth,
+    gamma_constant,
     gamma_poly,
     m_f_n,
     mu_cnbw,
     p_poly,
     phi_poly,
     sigma_f,
+    walk_sum,
 )
 from bireg.errors import NonDecayingCoefficients
 
@@ -153,9 +155,32 @@ def test_m_f_n_example():
     assert m_f_n(basis_element("phi", 2), 10, 3, 3, 2) == pytest.approx(-1.0)
 
 
+def test_walk_sum_start_and_truncation():
+    # start + sum_k a_k x_{k-1} / q^{k/2}; a_0 is never read
+    assert walk_sum([7.0, 2.0, 0.0, 4.0], [3, 1, 8], 2, start=5) == 5 + 6 / 2**0.5 + 32 / 2**1.5
+    # stops where the shorter sequence stops
+    assert walk_sum([7.0, 2.0, 1.0, 4.0], [3], 4) == 2.0 * 3 / 2.0
+    assert walk_sum([7.0, 2.0], [3, 5, 9], 4) == 2.0 * 3 / 2.0
+    assert walk_sum([7.0], [3, 5], 4, start=1.5) == 1.5
+    assert walk_sum([7.0, 2.0], [], 4) == 0
+
+
+def test_gamma_constant_is_the_scaled_cnbw_constant():
+    # Gamma_k - Phi_k is the Ihara-Bass constant of CNBW_k over n q^{k/2}
+    for d1 in range(2, 10):
+        for d2 in range(2, 10):
+            q = (d1 - 1) * (d2 - 1)
+            for n in (d2, 3 * d2, 60):
+                for k in range(1, 25):
+                    c = cnbw_constant(k, n, d1, d2)
+                    if k % 2:
+                        assert c == 0 and gamma_constant(k, d1) == 0
+                    else:
+                        assert gamma_constant(k, d1) == c / (n * q ** (k // 2))
+
+
 def test_default_r_n_and_interval():
     assert default_r_n(300, 3, 3) == int(0.4 * math.log(300) / math.log(4))
-    assert fixed_interval_halfwidth(3, 3) == pytest.approx(3 * math.sqrt(2) / math.sqrt(2))
 
 
 def test_builtin_functions():

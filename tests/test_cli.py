@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from bireg import experiments, spectra
 from bireg.cli import dispatch
 from bireg.graph import load_graph
 
@@ -240,3 +241,58 @@ def test_identity_runs_the_walk_recurrence_once(tmp_path, recurrence_calls):
     assert run(["identity", "--in", str(g), "--kmax", "14", "--out", str(out)]) == 0
     assert recurrence_calls == [7]
     assert len(out.read_text().splitlines()) == 15
+
+
+def counting(monkeypatch, module, name):
+    """Record the calls to module.name made during the test."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+FIXED_PARAMS = {"n": 300, "d1": 3, "d2": 3, "expansion": "gamma_3", "samples": 4}
+GLOBAL_PARAMS = {"n": 300, "d1": 3, "d2": 3, "samples": 2}
+
+
+@pytest.mark.parametrize(
+    "config, names",
+    [
+        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, k_max=1)}, ["'k_max'", ">= 2"]),
+        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, k_max=0)}, ["'k_max'", ">= 2"]),
+        ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="semicirc")},
+         ["'model'", "semicircle, fixed-degree, shifted-mp", "'semicirc'"]),
+        ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="shifted-mp")},
+         ["'params'", "'alpha'", "shifted-mp"]),
+        ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="fixed-degree", params={"d1": 3})},
+         ["'params'", "'d2'", "fixed-degree"]),
+    ],
+)
+def test_bad_experiment_params_are_refused_before_sampling(tmp_path, capsys, monkeypatch, config, names):
+    samples = counting(monkeypatch, experiments, "sample_graph")
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(name in err for name in names)
+    assert "Traceback" not in err
+    assert samples == []
+
+
+def test_density_curve_runs_no_eigensolve(tmp_path, monkeypatch):
+    g = tmp_path / "g.json"
+    assert run(["sample", "--n", "12", "--m", "12", "--d1", "3", "--d2", "3",
+                "--seed", "1", "--out", str(g)]) == 0
+    solves = counting(monkeypatch, spectra, "eigenvalues")
+    out = tmp_path / "dens.tsv"
+    assert run(["spectrum", "--in", str(g), "--density", "fixed-degree", "--points", "5",
+                "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 6
+    assert solves == []
+    assert run(["spectrum", "--in", str(g), "--out", str(out)]) == 0
+    assert len(solves) == 1

@@ -1,9 +1,11 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from bireg import experiments
 from bireg.chebyshev import basis_element
 from bireg.experiments import (
     cycle_count_vector,
@@ -167,3 +169,30 @@ def test_run_experiment_config_roundtrip():
     }
     rep2 = run_experiment(config2)
     assert rep2.name == "fluctuation-fixed"
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: poisson_experiment(30, 30, 3, 3, 3, 3, seed=1),
+        lambda: fluctuation_experiment_fixed(30, 3, 3, basis_element("gamma", 3, 3), 3, seed=1),
+        lambda: fluctuation_experiment_growing(30, 3, 3, [basis_element("phi", 2)], 3, seed=1),
+        lambda: globallaw_experiment(30, 3, 3, 3, "semicircle", seed=1),
+    ],
+    ids=["poisson", "fluctuation-fixed", "fluctuation-growing", "globallaw"],
+)
+def test_each_trial_graph_is_dropped_before_the_next_is_sampled(monkeypatch, run):
+    # a graph that outlives its trial pins heap under the next trial's dense
+    # Gram build; globallaw at n = 2000 peaked 30 MiB higher that way
+    refs, alive = [], []
+    sample_graph = experiments.sample_graph
+
+    def sample(*args):
+        alive.append(sum(ref() is not None for ref in refs))
+        g = sample_graph(*args)
+        refs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(experiments, "sample_graph", sample)
+    run()
+    assert alive == [0, 0, 0]

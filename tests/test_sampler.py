@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bireg.errors import BalanceViolation, TooLarge, UnknownConfigKey
+from bireg.errors import BalanceViolation, TooLarge
 from bireg.graph import complete_bipartite
 from bireg.sampler import (
     SamplerConfig,
@@ -106,13 +106,3 @@ def test_auto_method_picks_chain_for_dense_degrees():
     assert cfg.resolve_method(1000, 1000, 8, 8) == "switch-chain"
     assert cfg.resolve_method(300, 300, 3, 3) == "exact-rejection"
     assert cfg.resolve_method(20, 20, 8, 8) == "switch-chain"
-
-
-def test_config_roundtrip():
-    cfg = SamplerConfig(method="switch-chain", mcmc_steps=5, seed=9)
-    assert SamplerConfig.from_dict(cfg.to_dict()) == cfg
-
-
-def test_config_from_dict_rejects_unknown_key():
-    with pytest.raises(UnknownConfigKey, match="'steps'.*allowed: .*mcmc_steps"):
-        SamplerConfig.from_dict({"method": "auto", "steps": 10})
