@@ -23,7 +23,6 @@ from .chebyshev import (
 from .graph import (
     BiregularGraph,
     complete_bipartite,
-    full_adjacency,
     load_graph,
     save_graph,
     scaled_gram,
@@ -53,7 +52,6 @@ from .spectra import (
     linear_statistic,
     reference_cdf,
     reference_density,
-    spectral_edge_check,
 )
 from .switching import (
     Cycle,

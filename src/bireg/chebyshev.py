@@ -25,7 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonDecayingCoefficients
+from .errors import (
+    MalformedInput,
+    MissingConfigKey,
+    NonDecayingCoefficients,
+    check_config_keys,
+    check_int,
+    check_number,
+)
 
 DEFAULT_TOL = 1e-12
 MAX_QUAD_NODES = 1 << 17
@@ -36,8 +43,6 @@ def cheb_eval(kind: str, k: int, x):
     if kind not in ("T", "U"):
         raise ValueError("kind must be 'T' or 'U'")
     if k < 0:
-        if kind == "U" and k == -1:
-            return np.zeros_like(np.asarray(x, dtype=float))
         raise ValueError("k must be >= 0")
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
@@ -189,9 +194,24 @@ class ChebExpansion:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChebExpansion":
+        """The expansion that to_dict wrote, or a config object with the same
+        keys; basis and coeffs are required."""
+        check_config_keys("expansion", data, {"basis", "coeffs", "d1", "k1", "decay_rate", "coeff_bound"})
+        missing = [key for key in ("basis", "coeffs") if key not in data]
+        if missing:
+            raise MissingConfigKey(f"missing key(s) {', '.join(map(repr, missing))} in expansion")
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, (list, tuple)) or not coeffs:
+            raise MalformedInput(f"expansion key 'coeffs' must be a non-empty list, got {coeffs!r}")
+        for c in coeffs:
+            check_number("expansion", "coeffs", c)
+        check_int("expansion", "d1", data.get("d1"), allow_none=True)
+        for key in ("k1", "decay_rate", "coeff_bound"):
+            if key in data:
+                check_number("expansion", key, data[key])
         return cls(
             basis=data["basis"],
-            coeffs=tuple(data["coeffs"]),
+            coeffs=tuple(coeffs),
             d1=data.get("d1"),
             k1=data.get("k1", 2.0),
             decay_rate=data.get("decay_rate", float("inf")),
@@ -332,6 +352,8 @@ def m_f_n(expansion: ChebExpansion, n: int, d1: int, d2: int, r_n: int) -> float
 
 def basis_element(basis: str, k: int, d1: int | None = None) -> ChebExpansion:
     """The expansion whose only nonzero coefficient is a_k = 1."""
+    if k < 0:
+        raise ValueError(f"basis index must be >= 0, got {k}")
     coeffs = [0.0] * k + [1.0]
     return ChebExpansion(basis=basis, coeffs=coeffs, d1=d1)
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the checks of JSON config input."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class BiregError(Exception):
@@ -31,10 +31,6 @@ class RejectionBudgetExceeded(BiregError):
     """Rejection sampling failed to produce an admissible object in budget."""
 
 
-class SeedConstructionFailed(BiregError):
-    """No deterministic seed graph exists for the requested parameters."""
-
-
 class TooLarge(BiregError):
     """Exhaustive enumeration would exceed the configured budget."""
 
@@ -44,11 +40,12 @@ class HorizonTooLarge(TooLarge):
 
 
 class PreconditionViolated(BiregError):
-    """A switching specification violates one of its adjacency constraints."""
+    """A switching breaks the rewiring rule: its deleted edges repeat, or its
+    created edges repeat or are already in the graph."""
 
 
 class EdgeMissing(BiregError):
-    """A switching specification references an edge absent from the graph."""
+    """A switching would delete an edge that the graph does not have."""
 
 
 class NonDecayingCoefficients(BiregError):
@@ -85,11 +82,20 @@ def check_int(where: str, key: str, value, allow_none: bool = False) -> None:
         raise MalformedInput(f"{where} key {key!r} must be {kind}, got {value!r}")
 
 
+def check_number(where: str, key: str, value, minimum=None) -> None:
+    """Raise MalformedInput naming key unless value is a real number that is
+    not a bool, and at least minimum where one is given."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise MalformedInput(f"{where} key {key!r} must be a number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise MalformedInput(f"{where} key {key!r} must be >= {minimum}, got {value!r}")
+
+
 def check_config_keys(where: str, data: dict, allowed: set) -> None:
     """Raise UnknownConfigKey naming every key of data outside allowed."""
     unknown = sorted(set(data) - allowed)
     if unknown:
         raise UnknownConfigKey(
             f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
-            f"allowed: {', '.join(sorted(allowed))}"
+            f"allowed: {', '.join(sorted(allowed)) or 'none'}"
         )

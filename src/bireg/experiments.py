@@ -24,7 +24,7 @@ from scipy import stats
 
 from . import chebyshev, spectra, walks
 from .chebyshev import ChebExpansion
-from .errors import MalformedInput, MissingConfigKey, check_config_keys, check_int
+from .errors import MalformedInput, MissingConfigKey, check_config_keys, check_int, check_number
 from .graph import BiregularGraph, gram_shifted_sparse
 from .sampler import SamplerConfig, sample_graph, trial_rng
 
@@ -366,6 +366,8 @@ def fluctuation_experiment_growing(
 ) -> ExperimentReport:
     """Gaussian check for growing degrees: means, variances, covariances, KS."""
     m = _infer_m(n, d1, d2)
+    if r_n is not None and r_n < 0:
+        raise MalformedInput(f"fluctuation-growing params key 'r_n' must be >= 0, got {r_n}")
     exps = [e.to_phi() for e in expansions]
 
     def statistics_of(g):
@@ -429,19 +431,25 @@ def globallaw_experiment(
 ) -> ExperimentReport:
     """Bulk Kolmogorov-Smirnov distance to a reference density, per sample."""
     m = _infer_m(n, d1, d2)
-    params = params or {}
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise MalformedInput(f"globallaw params key 'params' must be a JSON object, got {params!r}")
     if model == "fixed-degree" and not params:
         params = {"d1": d1, "d2": d2}
     if model not in spectra.MODEL_PARAMS:
         raise MalformedInput(
             f"globallaw params key 'model' must be one of {', '.join(spectra.MODEL_PARAMS)}, got {model!r}"
         )
+    check_config_keys(f"globallaw {model} params", params, set(spectra.MODEL_PARAMS[model]))
     missing = [key for key in spectra.MODEL_PARAMS[model] if key not in params]
     if missing:
         raise MalformedInput(
             f"globallaw params key 'params' lacks {', '.join(map(repr, missing))}, "
             f"which the {model} model needs"
         )
+    for key, value in params.items():
+        # shifted-mp needs alpha >= 1, and fixed-degree q = (d1-1)(d2-1) >= 1
+        check_number(f"globallaw {model} params", key, value, minimum=1 if key == "alpha" else 2)
 
     def row(g):
         sample = spectra.eigenvalues(g)
@@ -511,23 +519,31 @@ def run_experiment(config: dict) -> ExperimentReport:
         # annotations are strings under `from __future__ import annotations`
         if signature[key].annotation in ("int", "int | None"):
             check_int(f"{name} params", key, value, allow_none=signature[key].annotation != "int")
+        if signature[key].annotation == "bool" and not isinstance(value, bool):
+            raise MalformedInput(f"{name} params key {key!r} must be true or false, got {value!r}")
     if params["samples"] < 1:
         raise MalformedInput(f"{name} params key 'samples' must be >= 1, got {params['samples']}")
     if name == "fluctuation-fixed":
-        params["expansion"] = _expansion_from_config(params.pop("expansion"), params.get("d1"))
+        params["expansion"] = _expansion_from_config(name, "expansion", params["expansion"], params["d1"])
     if name == "fluctuation-growing":
-        params["expansions"] = [
-            _expansion_from_config(e, params.get("d1")) for e in params.pop("expansions")
-        ]
+        specs = params["expansions"]
+        if not isinstance(specs, list) or not specs:
+            raise MalformedInput(f"{name} params key 'expansions' must be a non-empty list, got {specs!r}")
+        params["expansions"] = [_expansion_from_config(name, "expansions", e, params["d1"]) for e in specs]
     return fn(seed=seed, **params)
 
 
-def _expansion_from_config(spec, d1):
+def _expansion_from_config(name, key, spec, d1):
+    """The expansion a config gives as a ChebExpansion.to_dict object or as a
+    builtin function name (see chebyshev.builtin_function)."""
     if isinstance(spec, dict):
         return ChebExpansion.from_dict(spec)
-    if isinstance(spec, str):
+    if not isinstance(spec, str):
+        raise MalformedInput(f"{name} params key {key!r} must be a function name or an object, got {spec!r}")
+    try:
         f = chebyshev.builtin_function(spec, d1)
-        if isinstance(f, ChebExpansion):
-            return f
-        return chebyshev.fit_expansion(f, basis="phi", d1=d1)
-    raise ValueError(f"cannot build expansion from {spec!r}")
+    except ValueError as exc:
+        raise MalformedInput(f"{name} params key {key!r} = {spec!r}: {exc}") from exc
+    if isinstance(f, ChebExpansion):
+        return f
+    return chebyshev.fit_expansion(f, basis="phi", d1=d1)

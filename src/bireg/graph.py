@@ -165,19 +165,6 @@ def complete_bipartite(n: int, m: int) -> BiregularGraph:
     return BiregularGraph(n=n, m=m, d1=m, d2=n, edges=edges)
 
 
-def full_adjacency(g: BiregularGraph) -> np.ndarray:
-    """Block matrix [[0, X], [X^T, 0]] of shape (n+m, n+m).
-
-    Its spectrum is {+/- sigma_i(X)} plus |n - m| zeros; the extreme
-    eigenvalues are +/- sqrt(d1*d2).
-    """
-    i, j = np.divmod(g.keys, g.m)
-    a = np.zeros((g.n + g.m, g.n + g.m), dtype=np.int64)
-    a[i, g.n + j] = 1
-    a[g.n + j, i] = 1
-    return a
-
-
 def gram_shifted_sparse(g: BiregularGraph) -> sparse.csr_array:
     """X X^T - d1 I as a sparse int64 matrix, with its zero diagonal dropped.
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._switch_kernel import run_swaps
-from .errors import BalanceViolation, RejectionBudgetExceeded, SeedConstructionFailed, TooLarge
+from .errors import BalanceViolation, RejectionBudgetExceeded, TooLarge
 from .graph import BiregularGraph
 
 ENUMERATION_LIMIT = 25  # max n*m for enumerate_all
@@ -106,8 +106,6 @@ def sample_configuration(n, m, d1, d2, rng, max_rejections=MAX_REJECTIONS) -> Bi
 def seed_graph(n, m, d1, d2) -> BiregularGraph:
     """Deterministic circulant placement: edges (i, (i*d1 + t) mod m)."""
     _check_params(n, m, d1, d2)
-    if d1 > m:
-        raise SeedConstructionFailed("d1 > m")
     i, t = np.divmod(np.arange(n * d1), d1)
     return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack((i, (i * d1 + t) % m)))
 

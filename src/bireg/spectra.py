@@ -35,10 +35,12 @@ class SpectrumSample:
 
     eigenvalues: np.ndarray
     n: int
-    m: int
     d1: int
     d2: int
-    q: int
+
+    @property
+    def q(self) -> int:
+        return (self.d1 - 1) * (self.d2 - 1)
 
     @property
     def top_exact(self) -> float:
@@ -62,7 +64,7 @@ def eigenvalues(g: BiregularGraph) -> SpectrumSample:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise SolverFailure(str(exc)) from exc
     lam = np.sort(lam)[::-1]
-    return SpectrumSample(eigenvalues=lam, n=g.n, m=g.m, d1=g.d1, d2=g.d2, q=g.q)
+    return SpectrumSample(eigenvalues=lam, n=g.n, d1=g.d1, d2=g.d2)
 
 
 def linear_statistic(sample: SpectrumSample, f) -> float:
@@ -201,12 +203,7 @@ def ks_statistic(values: np.ndarray, cdf) -> float:
     return float(max(upper, lower))
 
 
-def esd_distance(
-    sample: SpectrumSample,
-    model: str,
-    params: dict | None = None,
-    exclude_top: bool = True,
-) -> float:
+def esd_distance(sample: SpectrumSample, model: str, params: dict | None = None) -> float:
     """Kolmogorov-Smirnov distance between the (bulk) ESD and a reference law.
 
     For the fixed-degree and shifted-mp laws the comparison variable is
@@ -214,7 +211,7 @@ def esd_distance(
     semicircle the raw eigenvalues are used.
     """
     params = params or {}
-    vals = sample.bulk if exclude_top else sample.eigenvalues
+    vals = sample.bulk
     if model in ("fixed-degree", "shifted-mp"):
         vals = vals - sample.shift
     return ks_statistic(vals, reference_cdf(model, params))
@@ -223,8 +220,3 @@ def esd_distance(
 def spectral_edge_deviation(sample: SpectrumSample) -> float:
     """max over non-top eigenvalues of |lambda_i - (d2-2)/sqrt(q)|."""
     return float(np.max(np.abs(sample.bulk - sample.shift)))
-
-
-def spectral_edge_check(sample: SpectrumSample, slack: float) -> bool:
-    """Whether all non-top eigenvalues lie within 2 + slack of the bulk centre."""
-    return spectral_edge_deviation(sample) <= 2.0 + slack

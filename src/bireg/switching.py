@@ -1,12 +1,14 @@
 """Forward and backward cycle switchings.
 
-A forward switching takes a 2k-cycle alpha = (x1, y1, ..., xk, yk) contained
-in the graph plus 2k auxiliary edges e_i = (u_i, v_i), e'_i = (u'_i, v'_i),
-deletes the 2k cycle edges together with all e_i, e'_i, and adds the edges
-(x_i, v_i), (x_i, v'_i), (u_i, y_i), (u'_i, y_i).  The backward switching is
-the inverse rewiring: it consumes the paths v_i x_i v'_i and u_i y_i u'_i
-and creates the cycle alpha together with the edges (u_i, v_i), (u'_i, v'_i).
-Both preserve all vertex degrees.
+A switching is one rewiring of the graph: delete distinct edges of g and
+create distinct edges that g does not have.  Its data are a 2k-cycle
+alpha = (x1, y1, ..., xk, yk) and auxiliary edges e_i = (u_i, v_i),
+e'_i = (u'_i, v'_i), and it pairs two edge lists: the cycle edges with all
+e_i, e'_i, and the path edges (x_i, v_i), (x_i, v'_i), (u_i, y_i), (u'_i, y_i).
+The forward switching deletes the first list and creates the second; the
+backward switching reads the same pair the other way, consuming the paths
+v_i x_i v'_i and u_i y_i u'_i and creating alpha.  Both directions obey the
+one rewiring rule of ``_rewired`` and preserve all vertex degrees.
 
 A switching is *valid* for horizon r when alpha is the only cycle of length
 <= 2r created or destroyed.  Validity is checked operationally: the short
@@ -126,64 +128,41 @@ def short_cycles(g: BiregularGraph, r: int, budget: int = SWITCH_BUDGET) -> list
     return out
 
 
-def apply_forward(g: BiregularGraph, spec: SwitchingSpec) -> BiregularGraph:
-    """Delete alpha and the auxiliary edges, rewire, and validate the result."""
-    xs, ys = spec.alpha.xs, spec.alpha.ys
-    for edge in spec.alpha.edge_list():
-        if not g.has_edge(*edge):
-            raise EdgeMissing(f"cycle edge {edge} not in graph")
-    for edge in list(spec.e) + list(spec.e_prime):
-        if not g.has_edge(*edge):
-            raise EdgeMissing(f"auxiliary edge {edge} not in graph")
-    for i in range(spec.alpha.k):
-        (u, v), (up, vp) = spec.e[i], spec.e_prime[i]
-        if g.has_edge(u, ys[i]):
-            raise PreconditionViolated(f"u_{i}={u} is adjacent to y_{i}={ys[i]}")
-        if g.has_edge(up, ys[i]):
-            raise PreconditionViolated(f"u'_{i}={up} is adjacent to y_{i}={ys[i]}")
-        if g.has_edge(xs[i], v):
-            raise PreconditionViolated(f"v_{i}={v} is adjacent to x_{i}={xs[i]}")
-        if g.has_edge(xs[i], vp):
-            raise PreconditionViolated(f"v'_{i}={vp} is adjacent to x_{i}={xs[i]}")
-    removed = spec.removed_forward()
-    if len(set(removed)) != len(removed):
-        raise PreconditionViolated("the 4k edges to delete are not distinct")
-    added = spec.added_forward()
-    if len(set(added)) != len(added):
-        raise PreconditionViolated("the 4k replacement edges collide")
-    edges = (g.edge_set - set(removed)) | set(added)
+def _breach(g: BiregularGraph, deleted: list, created: list):
+    """Why (deleted, created) breaks the rewiring rule -- deleted edges
+    distinct, created edges distinct and not in g -- or None."""
+    if len(set(deleted)) != len(deleted):
+        return "the deleted edges are not distinct"
+    if len(set(created)) != len(created):
+        return "the created edges collide"
+    clash = next((e for e in created if e in g.edge_set), None)
+    if clash is not None:
+        return f"created edge {clash} already present"
+    return None
+
+
+def _rewired(g: BiregularGraph, deleted: list, created: list) -> BiregularGraph:
+    """g with `deleted` removed and `created` added: EdgeMissing if a deleted
+    edge is not in g, PreconditionViolated if the rule is broken (a created
+    edge of g is refused even when also deleted)."""
+    missing = next((e for e in deleted if e not in g.edge_set), None)
+    if missing is not None:
+        raise EdgeMissing(f"deleted edge {missing} not in graph")
+    reason = _breach(g, deleted, created)
+    if reason is not None:
+        raise PreconditionViolated(reason)
+    edges = (g.edge_set - set(deleted)) | set(created)
     return BiregularGraph(n=g.n, m=g.m, d1=g.d1, d2=g.d2, edges=tuple(edges))
+
+
+def apply_forward(g: BiregularGraph, spec: SwitchingSpec) -> BiregularGraph:
+    """Delete alpha and the auxiliary edges, creating the paths."""
+    return _rewired(g, spec.removed_forward(), spec.added_forward())
 
 
 def apply_backward(g: BiregularGraph, spec: SwitchingSpec) -> BiregularGraph:
     """Consume the paths v_i x_i v'_i and u_i y_i u'_i, creating alpha."""
-    xs, ys = spec.alpha.xs, spec.alpha.ys
-    removed = spec.added_forward()  # the path edges
-    created = spec.removed_forward()  # alpha plus (u_i, v_i), (u'_i, v'_i)
-    for i in range(spec.alpha.k):
-        if spec.e[i][1] == spec.e_prime[i][1]:
-            raise PreconditionViolated(f"v_{i} = v'_{i}: not a path through x_{i}")
-        if spec.e[i][0] == spec.e_prime[i][0]:
-            raise PreconditionViolated(f"u_{i} = u'_{i}: not a path through y_{i}")
-    for edge in removed:
-        if not g.has_edge(*edge):
-            raise EdgeMissing(f"path edge {edge} not in graph")
-    if len(set(removed)) != len(removed):
-        raise PreconditionViolated("the 4k path edges are not distinct")
-    if len(set(created)) != len(created):
-        raise PreconditionViolated("the 4k created edges collide")
-    overlap = set(removed) & set(created)
-    if overlap:
-        # a degenerate rewiring (delete then re-create) would not invert to a
-        # forward switching satisfying its adjacency preconditions
-        raise PreconditionViolated(f"edge {sorted(overlap)[0]} both deleted and created")
-    remaining = g.edge_set - set(removed)
-    clash = next((e for e in created if e in remaining), None)
-    if clash is not None:
-        raise PreconditionViolated(f"created edge {clash} already present")
-    return BiregularGraph(
-        n=g.n, m=g.m, d1=g.d1, d2=g.d2, edges=tuple(remaining | set(created))
-    )
+    return _rewired(g, spec.added_forward(), spec.removed_forward())
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +250,7 @@ def _creations_ok(adj, removed, added, r, expect, budget_state):
 
 
 def valid_switchings(
-    g: BiregularGraph,
-    alpha: Cycle,
-    r: int,
-    direction: str,
-    budget: int = SWITCH_BUDGET,
+    g: BiregularGraph, alpha: Cycle, r: int, direction: str, budget: int = SWITCH_BUDGET
 ) -> list:
     """One SwitchingSpec per valid rewiring, by exhaustive enumeration.
 
@@ -294,16 +269,23 @@ def valid_switchings(
     for c in shorts:
         for e in c.edge_list():
             cycle_edges.setdefault(e, set()).add(c.vertices)
-    args = (g, alpha, r, cycle_edges, _adjacency_sets(g), [0, budget])
-    return _enumerate_forward(*args) if direction == "forward" else _enumerate_backward(*args)
+    adj, budget_state = _adjacency_sets(g), [0, budget]
+    forward = direction == "forward"
+    candidates = _forward_candidates if forward else _backward_candidates
+    expect = set() if forward else {alpha.vertices}
+    seen = {}
+    for e, ep, deleted, created in candidates(g, alpha, cycle_edges, adj, budget_state):
+        if _breach(g, deleted, created) is not None:
+            continue
+        if _creations_ok(adj, deleted, created, r, expect, budget_state):
+            key = (frozenset(deleted), frozenset(created))
+            if key not in seen:
+                seen[key] = SwitchingSpec(alpha=alpha, e=e, e_prime=ep)
+    return list(seen.values())
 
 
 def count_valid_switchings(
-    g: BiregularGraph,
-    alpha: Cycle,
-    r: int,
-    direction: str,
-    budget: int = SWITCH_BUDGET,
+    g: BiregularGraph, alpha: Cycle, r: int, direction: str, budget: int = SWITCH_BUDGET
 ) -> int:
     """Number of valid switchings for alpha (see valid_switchings)."""
     return len(valid_switchings(g, alpha, r, direction, budget))
@@ -329,15 +311,19 @@ def _distinct_tuples(options, key, budget_state):
     return out
 
 
-def _enumerate_forward(g, alpha, r, cycle_edges, adj, budget_state):
+def _forward_candidates(g, alpha, cycle_edges, adj, budget_state):
+    """(e, e', deleted, created) for the auxiliary edges that could delete
+    alpha.  They are free (on no short cycle, so never alpha's) and miss the
+    cycle vertex they join, so no created edge is in g; the rewiring rule
+    still refuses e and e' sharing an edge, and colliding created edges."""
     if not alpha.contained_in(g):
         raise EdgeMissing("alpha is not a cycle of the graph")
     alpha_key = alpha.vertices
     # every cycle sharing an edge with alpha would also be destroyed
     for e in alpha.edge_list():
         if cycle_edges.get(e, set()) - {alpha_key}:
-            return []
-    xs, ys, k = alpha.xs, alpha.ys, alpha.k
+            return
+    xs, ys = alpha.xs, alpha.ys
     free_edges = [e for e in g.edges if e not in cycle_edges]
     adj1, adj2 = adj
     options = [
@@ -345,25 +331,15 @@ def _enumerate_forward(g, alpha, r, cycle_edges, adj, budget_state):
     ]
     e_tuples = _distinct_tuples(options, key=lambda e: e[0], budget_state=budget_state)
     ep_tuples = _distinct_tuples(options, key=lambda e: e[1], budget_state=budget_state)
-    alpha_removed = alpha.edge_list()
-    seen = {}
+    alpha_deleted = alpha.edge_list()
     for et in e_tuples:
-        et_set = set(et)
         for ept in ep_tuples:
             _spend(budget_state, 1)
-            if et_set & set(ept):
-                continue
-            removed = alpha_removed + list(et) + list(ept)
-            added = _added_forward(xs, ys, et, ept)
-            if len(set(added)) != 4 * k:
-                continue
-            if _creations_ok(adj, removed, added, r, set(), budget_state):
-                key = (frozenset(removed), frozenset(added))
-                seen.setdefault(key, SwitchingSpec(alpha=alpha, e=et, e_prime=ept))
-    return list(seen.values())
+            yield et, ept, alpha_deleted + list(et) + list(ept), _added_forward(xs, ys, et, ept)
 
 
-def _enumerate_backward(g, alpha, r, cycle_edges, adj, budget_state):
+def _backward_candidates(g, alpha, cycle_edges, adj, budget_state):
+    """(e, e', deleted, created) for the paths that could create alpha."""
     xs, ys, k = alpha.xs, alpha.ys, alpha.k
     # paths v_i x_i v'_i: ordered pairs of distinct neighbours of x_i whose
     # edges lie on no short cycle (they get deleted)
@@ -374,8 +350,6 @@ def _enumerate_backward(g, alpha, r, cycle_edges, adj, budget_state):
         v_opts.append([(v, vp) for v in vs for vp in vs if v != vp])
         u_opts.append([(u, up) for u in us for up in us if u != up])
     alpha_created = alpha.edge_list()
-    expect = {alpha.vertices}
-    seen = {}
 
     def pairs(level, acc):
         if level == k:
@@ -389,19 +363,8 @@ def _enumerate_backward(g, alpha, r, cycle_edges, adj, budget_state):
     for choice in pairs(0, []):
         e = tuple((u, v) for (v, _), (u, _) in choice)
         ep = tuple((up, vp) for (_, vp), (_, up) in choice)
-        removed = _added_forward(xs, ys, e, ep)
         created = alpha_created + [edge for pair in zip(e, ep) for edge in pair]
-        if len(set(removed)) != 4 * k or len(set(created)) != 4 * k:
-            continue
-        removed_set = set(removed)
-        if any(edge in removed_set for edge in created):
-            continue  # degenerate delete-then-recreate rewiring
-        if any(edge in g.edge_set for edge in created):
-            continue
-        if _creations_ok(adj, removed, created, r, expect, budget_state):
-            key = (frozenset(removed), frozenset(created))
-            seen.setdefault(key, SwitchingSpec(alpha=alpha, e=e, e_prime=ep))
-    return list(seen.values())
+        yield e, ep, _added_forward(xs, ys, e, ep), created
 
 
 def forward_bound(n, m, d1, d2, k) -> int:

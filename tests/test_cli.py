@@ -258,6 +258,7 @@ def counting(monkeypatch, module, name):
 
 FIXED_PARAMS = {"n": 300, "d1": 3, "d2": 3, "expansion": "gamma_3", "samples": 4}
 GLOBAL_PARAMS = {"n": 300, "d1": 3, "d2": 3, "samples": 2}
+GROWING_PARAMS = {"n": 200, "d1": 6, "d2": 6, "expansions": ["phi_2"], "samples": 2}
 
 
 @pytest.mark.parametrize(
@@ -271,6 +272,36 @@ GLOBAL_PARAMS = {"n": 300, "d1": 3, "d2": 3, "samples": 2}
          ["'params'", "'alpha'", "shifted-mp"]),
         ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="fixed-degree", params={"d1": 3})},
          ["'params'", "'d2'", "fixed-degree"]),
+        ({"experiment": "globallaw",
+          "params": dict(GLOBAL_PARAMS, model="shifted-mp", params={"alpha": 0.5})},
+         ["'alpha'", ">= 1", "0.5"]),
+        ({"experiment": "globallaw",
+          "params": dict(GLOBAL_PARAMS, model="shifted-mp", params={"alpha": [1]})},
+         ["'alpha'", "number"]),
+        ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="semicircle", params=5)},
+         ["'params'", "JSON object"]),
+        ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="semicircle", params={"beta": 1})},
+         ["'beta'"]),
+        ({"experiment": "fluctuation-fixed",
+          "params": dict(FIXED_PARAMS, expansion={"basis": "phi", "coeffs": [1, [2]]})},
+         ["'coeffs'", "[2]"]),
+        ({"experiment": "fluctuation-fixed",
+          "params": dict(FIXED_PARAMS, expansion={"basis": "phi", "coeffs": [1, 2], "bogus": 1})},
+         ["'bogus'"]),
+        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, expansion="gamma_-2")},
+         ["'expansion'", "'gamma_-2'", ">= 0"]),
+        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, expansion="phi_-1")},
+         ["'expansion'", "'phi_-1'", ">= 0"]),
+        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, use_eigenvalues="no")},
+         ["'use_eigenvalues'", "'no'"]),
+        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, keep_samples="no")},
+         ["'keep_samples'", "'no'"]),
+        ({"experiment": "fluctuation-growing", "params": dict(GROWING_PARAMS, expansions="phi_2")},
+         ["'expansions'", "list"]),
+        ({"experiment": "fluctuation-growing", "params": dict(GROWING_PARAMS, expansions=[])},
+         ["'expansions'", "non-empty"]),
+        ({"experiment": "fluctuation-growing", "params": dict(GROWING_PARAMS, r_n=-1)},
+         ["'r_n'", ">= 0"]),
     ],
 )
 def test_bad_experiment_params_are_refused_before_sampling(tmp_path, capsys, monkeypatch, config, names):

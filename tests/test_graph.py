@@ -14,7 +14,6 @@ from bireg.errors import (
 from bireg.graph import (
     BiregularGraph,
     complete_bipartite,
-    full_adjacency,
     gram_shifted,
     load_graph,
     save_graph,
@@ -108,26 +107,6 @@ def test_row_and_column_sums_on_random_graphs():
         x = g.biadjacency
         assert (x.sum(axis=1) == g.d1).all()
         assert (x.sum(axis=0) == g.d2).all()
-
-
-def test_full_adjacency_k22():
-    eig = np.linalg.eigvalsh(full_adjacency(complete_bipartite(2, 2)).astype(float))
-    assert np.allclose(sorted(eig), [-2, 0, 0, 2], atol=1e-12)
-
-
-def test_full_adjacency_hexagon():
-    g = BiregularGraph(n=3, m=3, d1=2, d2=2, edges=HEX_EDGES)
-    eig = np.linalg.eigvalsh(full_adjacency(g).astype(float))
-    assert np.allclose(sorted(eig), [-2, -1, -1, 1, 1, 2], atol=1e-12)
-
-
-def test_full_adjacency_spectrum_symmetric_plus_zeros():
-    for g in random_corpus(3, 6, 8, 4, 3, seed=2):
-        eig = np.sort(np.linalg.eigvalsh(full_adjacency(g).astype(float)))
-        assert np.allclose(eig, -eig[::-1], atol=1e-9)
-        assert abs(eig[-1] - np.sqrt(g.d1 * g.d2)) < 1e-9
-        n_zero = np.sum(np.abs(eig) < 1e-9)
-        assert n_zero >= abs(g.n - g.m)
 
 
 def test_scaled_gram_k22():

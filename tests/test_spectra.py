@@ -16,7 +16,6 @@ from bireg.spectra import (
     linear_statistic,
     reference_cdf,
     reference_density,
-    spectral_edge_check,
     spectral_edge_deviation,
 )
 from bireg.walks import count_cycles, walk_counts
@@ -189,13 +188,13 @@ def test_esd_two_atom_complete_bipartite():
 def test_spectral_edge_hexagon(hexagon):
     s = eigenvalues(hexagon)
     assert spectral_edge_deviation(s) == pytest.approx(1.0, abs=1e-10)
-    assert spectral_edge_check(s, 0.0)
+    assert spectral_edge_deviation(s) <= 2 + 0.0
 
 
 def test_spectral_edge_random():
     passed = 0
     for g in random_corpus(20, 120, 120, 3, 3, seed=28):
-        passed += spectral_edge_check(eigenvalues(g), slack=0.3)
+        passed += spectral_edge_deviation(eigenvalues(g)) <= 2 + 0.3
     assert passed >= 18
 
 

@@ -106,6 +106,55 @@ def test_apply_backward_existing_edge_rejected():
         apply_backward(g, spec)
 
 
+# a (3,3)-biregular graph on 8 + 8 vertices; row i lists the V2 neighbours of i,
+# and (0, 0, 6, 7) is one of its 4-cycles
+_NEIGHBOURS = ((0, 5, 7), (5, 6, 7), (1, 3, 5), (1, 2, 4), (2, 3, 6), (1, 2, 4), (0, 4, 7), (0, 3, 6))
+
+
+@pytest.mark.parametrize(
+    "direction, alpha, e, e_prime, error",
+    [
+        pytest.param("forward", (0, 0, 4, 3), ((3, 1), (0, 7)), ((5, 2), (6, 4)), EdgeMissing,
+                     id="forward-alpha-not-in-g"),
+        pytest.param("forward", (0, 0, 6, 7), ((1, 2), (2, 1)), ((3, 4), (4, 2)), EdgeMissing,
+                     id="forward-e0-not-in-g"),
+        pytest.param("forward", (0, 0, 6, 7), ((3, 4), (0, 5)), ((1, 6), (5, 1)), PreconditionViolated,
+                     id="forward-u1-adjacent-to-y1"),
+        pytest.param("forward", (0, 0, 6, 7), ((2, 3), (4, 6)), ((6, 4), (5, 2)), PreconditionViolated,
+                     id="forward-u'0-adjacent-to-y0"),
+        pytest.param("forward", (0, 0, 6, 7), ((1, 5), (7, 3)), ((5, 1), (2, 5)), PreconditionViolated,
+                     id="forward-v0-adjacent-to-x0"),
+        pytest.param("forward", (0, 0, 6, 7), ((4, 3), (7, 6)), ((3, 2), (3, 4)), PreconditionViolated,
+                     id="forward-v'1-adjacent-to-x1"),
+        pytest.param("forward", (0, 0, 6, 7), ((3, 1), (3, 1)), ((4, 3), (5, 2)), PreconditionViolated,
+                     id="forward-e0-deleted-twice"),
+        pytest.param("forward", (0, 0, 6, 7), ((4, 2), (7, 6)), ((4, 6), (5, 2)), PreconditionViolated,
+                     id="forward-u0y0-created-twice"),
+        pytest.param("backward", (4, 1, 7, 7), ((3, 3), (6, 3)), ((2, 6), (0, 3)), PreconditionViolated,
+                     id="backward-v1-equals-v'1"),
+        pytest.param("backward", (2, 2, 7, 7), ((5, 5), (6, 3)), ((4, 1), (6, 6)), PreconditionViolated,
+                     id="backward-u1-equals-u'1"),
+        pytest.param("backward", (0, 3, 5, 6), ((7, 7), (1, 4)), ((4, 0), (2, 2)), EdgeMissing,
+                     id="backward-u'1y1-not-in-g"),
+        pytest.param("backward", (1, 3, 5, 5, 7, 4), ((7, 7), (1, 2), (3, 6)), ((2, 6), (2, 4), (5, 0)),
+                     PreconditionViolated, id="backward-x1v'1-is-u'2y2"),
+        pytest.param("backward", (0, 2, 2, 4), ((3, 5), (3, 5)), ((4, 0), (6, 3)), PreconditionViolated,
+                     id="backward-e0-created-twice"),
+        pytest.param("backward", (0, 0, 1, 1), ((7, 5), (5, 7)), ((6, 7), (2, 5)), PreconditionViolated,
+                     id="backward-x0y0-in-g"),
+        pytest.param("backward", (3, 4, 4, 7), ((3, 2), (0, 6)), ((6, 1), (1, 3)), PreconditionViolated,
+                     id="backward-e0-is-x0v0"),
+    ],
+)
+def test_each_broken_precondition_is_refused(direction, alpha, e, e_prime, error):
+    # one broken precondition per case: an edge to delete that g lacks raises
+    # EdgeMissing, any other breach of the rewiring rule PreconditionViolated
+    g = BiregularGraph(n=8, m=8, d1=3, d2=3, edges=[(i, j) for i, row in enumerate(_NEIGHBOURS) for j in row])
+    apply = apply_forward if direction == "forward" else apply_backward
+    with pytest.raises(error):
+        apply(g, SwitchingSpec(alpha=Cycle(alpha), e=e, e_prime=e_prime))
+
+
 def test_roundtrip_forward_then_backward_random():
     rng = trial_rng(55)
     done = 0
