@@ -2,9 +2,9 @@
 
 Subcommands: sample, enumerate, walks, spectrum, identity, switchings,
 experiment, hypergraph.  Data outputs are tab-separated tables with a header
-row and a ``# seed=...`` comment, or JSON files for structured objects; runs
-with the same seed produce byte-identical outputs.  Usage errors exit 2
-(argparse), computation errors exit 1 with a diagnostic on stderr.
+row, or JSON files for structured objects; runs with the same seed produce
+byte-identical outputs.  Usage errors exit 2 (argparse), computation errors
+exit 1 with a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -21,11 +21,8 @@ from .graph import load_graph, save_graph
 from .sampler import SamplerConfig, enumerate_all, sample_graph, trial_rng
 
 
-def _table(lines, header, seed=None):
-    out = []
-    if seed is not None:
-        out.append(f"# seed={seed}")
-    out.append("\t".join(header))
+def _table(lines, header):
+    out = ["\t".join(header)]
     for row in lines:
         out.append("\t".join(str(v) for v in row))
     return "\n".join(out) + "\n"
@@ -113,7 +110,7 @@ def _cmd_switchings(args):
                 switching.backward_bound(g.d1, g.d2, alpha.k),
             )
         )
-    _emit(_table(rows, ["alpha", "k", "F", "F_bound", "B", "B_bound"], seed=args.seed), args.out)
+    _emit(_table(rows, ["alpha", "k", "F", "F_bound", "B", "B_bound"]), args.out)
     return 0
 
 
@@ -201,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=3)
     p.add_argument("--kmax", type=int, default=0)
     p.add_argument("--budget", type=int, default=switching.SWITCH_BUDGET)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_switchings)
 

@@ -448,7 +448,9 @@ def globallaw_experiment(
             f"which the {model} model needs"
         )
     for key, value in params.items():
-        # shifted-mp needs alpha >= 1, and fixed-degree q = (d1-1)(d2-1) >= 1
+        # shifted-mp needs alpha >= 1, and fixed-degree integer degrees with q = (d1-1)(d2-1) >= 1
+        if model == "fixed-degree":
+            check_int(f"globallaw {model} params", key, value)
         check_number(f"globallaw {model} params", key, value, minimum=1 if key == "alpha" else 2)
 
     def row(g):

@@ -191,7 +191,10 @@ def scaled_gram(g: BiregularGraph) -> np.ndarray:
     """
     if g.d1 == 1 or g.d2 == 1:
         raise DegenerateScaling(f"(d1-1)(d2-1) = 0 for d1={g.d1}, d2={g.d2}")
-    return gram_shifted(g).astype(np.float64) / np.sqrt(g.q)
+    # one dense copy; a sparse matrix's "/" multiplies by the reciprocal, so divide its data
+    p = gram_shifted_sparse(g).astype(np.float64)
+    p.data /= np.sqrt(g.q)
+    return p.toarray()
 
 
 def save_graph(g: BiregularGraph, path) -> None:

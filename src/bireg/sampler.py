@@ -80,23 +80,19 @@ def _check_params(n, m, d1, d2):
         raise ValueError("no simple graph exists: need d1 <= m and d2 <= n")
 
 
-def _matching_edges(n, m, d1, d2, rng):
-    """One configuration-model matching; (E, 2) edges, or None if not simple."""
-    rows = np.repeat(np.arange(n, dtype=np.int64), d1)
-    cols = rng.permutation(np.repeat(np.arange(m, dtype=np.int64), d2))
-    keys = rows * m + cols
-    if np.unique(keys).size != keys.size:
-        return None
-    return np.column_stack((rows, cols))
-
-
 def sample_configuration(n, m, d1, d2, rng, max_rejections=MAX_REJECTIONS) -> BiregularGraph:
-    """Exactly uniform sample by stub matching with rejection of multi-edges."""
+    """Exactly uniform sample by stub matching with rejection of multi-edges.
+
+    Stub slot s of a permutation of the V2 stubs belongs to V1 vertex s // d1,
+    so a multi-edge is two equal adjacent entries of a row-sorted (n, d1)
+    reshape, and a simple pairing is then already in key order."""
     _check_params(n, m, d1, d2)
+    rows = np.repeat(np.arange(n, dtype=np.int64), d1)
+    stubs = np.repeat(np.arange(m, dtype=np.int64), d2)
     for _ in range(max_rejections):
-        edges = _matching_edges(n, m, d1, d2, rng)
-        if edges is not None:
-            return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=edges)
+        cols = np.sort(rng.permutation(stubs).reshape(n, d1), axis=1)
+        if not (cols[:, 1:] == cols[:, :-1]).any():
+            return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack((rows, cols.ravel())))
     raise RejectionBudgetExceeded(
         f"no simple matching in {max_rejections} attempts "
         f"(acceptance ~ exp(-{(d1 - 1) * (d2 - 1) / 2:.1f}))"

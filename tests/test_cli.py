@@ -72,9 +72,9 @@ def test_switchings_audit(tmp_path):
     out = tmp_path / "sw.tsv"
     assert run(["switchings", "--in", str(g), "--r", "2", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("# seed=")
-    assert lines[1].split("\t") == ["alpha", "k", "F", "F_bound", "B", "B_bound"]
-    for line in lines[2:]:
+    # an exhaustive count of a given graph: no seed, so no "# seed=" line
+    assert lines[0].split("\t") == ["alpha", "k", "F", "F_bound", "B", "B_bound"]
+    for line in lines[1:]:
         _, k, f, fb, b, bb = line.split("\t")
         assert int(f) <= int(fb) and int(b) <= int(bb)
 
@@ -108,6 +108,14 @@ def test_hypergraph_commands(tmp_path):
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["walks"])  # missing --in
+    assert err.value.code == 2
+
+
+def test_switchings_has_no_seed_flag(tmp_path):
+    g = tmp_path / "g.json"
+    assert run(["sample", "--n", "4", "--m", "4", "--d1", "2", "--d2", "2", "--out", str(g)]) == 0
+    with pytest.raises(SystemExit) as err:
+        run(["switchings", "--in", str(g), "--seed", "1"])
     assert err.value.code == 2
 
 
@@ -272,6 +280,12 @@ GROWING_PARAMS = {"n": 200, "d1": 6, "d2": 6, "expansions": ["phi_2"], "samples"
          ["'params'", "'alpha'", "shifted-mp"]),
         ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="fixed-degree", params={"d1": 3})},
          ["'params'", "'d2'", "fixed-degree"]),
+        ({"experiment": "globallaw",
+          "params": dict(GLOBAL_PARAMS, model="fixed-degree", params={"d1": 3.5, "d2": 3})},
+         ["'d1'", "integer", "3.5"]),
+        ({"experiment": "globallaw",
+          "params": dict(GLOBAL_PARAMS, model="fixed-degree", params={"d1": 3, "d2": 1})},
+         ["'d2'", ">= 2"]),
         ({"experiment": "globallaw",
           "params": dict(GLOBAL_PARAMS, model="shifted-mp", params={"alpha": 0.5})},
          ["'alpha'", ">= 1", "0.5"]),

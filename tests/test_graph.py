@@ -132,6 +132,14 @@ def test_scaled_gram_complete_bipartite_eigenvalues():
         assert np.allclose(eig[:-1], -d1 / np.sqrt(q), atol=1e-10)
 
 
+def test_scaled_gram_is_the_exact_quotient():
+    # the entries of K_{6,6} and K_{4,6} are 6, with q = 25 and 15: times a
+    # rounded 1/sqrt(q) they would miss 6/sqrt(q) in the last bit
+    for g in [complete_bipartite(6, 6), complete_bipartite(4, 6), *random_corpus(3, 60, 60, 3, 3, seed=5)]:
+        want = gram_shifted(g).astype(np.float64) / np.sqrt(g.q)
+        assert np.array_equal(scaled_gram(g).view(np.int64), want.view(np.int64))
+
+
 def test_scaled_gram_zero_diagonal():
     for g in random_corpus(3, 8, 8, 3, 3, seed=3):
         assert np.all(np.diag(gram_shifted(g)) == 0)

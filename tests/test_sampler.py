@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bireg.errors import BalanceViolation, TooLarge
+from bireg.errors import BalanceViolation, RejectionBudgetExceeded, TooLarge
 from bireg.graph import complete_bipartite
 from bireg.sampler import (
+    MAX_REJECTIONS,
     SamplerConfig,
     enumerate_all,
     sample_configuration,
@@ -45,6 +46,41 @@ def test_configuration_sampler_rejects_bad_params():
         sample_configuration(2, 1, 2, 4, trial_rng(0))  # d1 > m
     with pytest.raises(ValueError):
         sample_configuration(1, 2, 4, 2, trial_rng(0))  # d2 > n
+
+
+def _reference_matching(n, m, d1, d2, rng, max_rejections):
+    """Sorted edge keys of a configuration-model graph, or None when no
+    attempt is simple: fresh stub arrays on every attempt, and a multi-edge
+    found as a repeated key by np.unique."""
+    for _ in range(max_rejections):
+        rows = np.repeat(np.arange(n, dtype=np.int64), d1)
+        cols = rng.permutation(np.repeat(np.arange(m, dtype=np.int64), d2))
+        keys = rows * m + cols
+        if np.unique(keys).size == keys.size:
+            return np.sort(keys)
+    return None
+
+
+@pytest.mark.parametrize(
+    "n, m, d1, d2", [(30, 30, 3, 3), (60, 40, 2, 3), (40, 60, 3, 2), (5, 5, 1, 1), (6, 8, 4, 3), (2, 2, 2, 2)]
+)
+def test_stub_matching_matches_unique_key_oracle(n, m, d1, d2):
+    # same graph and same stream position: the sampler draws what the
+    # reference draws, attempt for attempt
+    for seed in range(10):
+        rng, ref_rng = trial_rng(seed), trial_rng(seed)
+        g = sample_configuration(n, m, d1, d2, rng)
+        assert np.array_equal(g.keys, _reference_matching(n, m, d1, d2, ref_rng, MAX_REJECTIONS))
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
+def test_stub_matching_budget_counts_attempts():
+    # at (3,3,30) the first pairing of seed 0 has a multi-edge, that of seed 7 none
+    assert _reference_matching(30, 30, 3, 3, trial_rng(0), 1) is None
+    with pytest.raises(RejectionBudgetExceeded):
+        sample_configuration(30, 30, 3, 3, trial_rng(0), max_rejections=1)
+    g = sample_configuration(30, 30, 3, 3, trial_rng(7), max_rejections=1)
+    assert np.array_equal(g.keys, _reference_matching(30, 30, 3, 3, trial_rng(7), 1))
 
 
 def test_unique_graph_space_always_returns_it():

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from bireg.chebyshev import basis_element, gamma_poly
-from bireg.graph import complete_bipartite
+from bireg.graph import complete_bipartite, scaled_gram
 from bireg.spectra import (
     eigenvalues,
     esd_distance,
@@ -37,6 +37,13 @@ def test_eigenvalues_k36():
     g = complete_bipartite(3, 6)  # d1 = 6, d2 = 3, q = 10
     s = eigenvalues(g)
     assert s.eigenvalues[0] == pytest.approx(6 * 2 / math.sqrt(10), abs=1e-10)
+
+
+def test_eigenvalues_are_numpys_descending():
+    for g in random_corpus(3, 40, 30, 3, 4, seed=23):
+        lam = eigenvalues(g).eigenvalues
+        assert np.all(np.diff(lam) <= 0)
+        assert np.allclose(lam, np.sort(np.linalg.eigvalsh(scaled_gram(g)))[::-1], rtol=0, atol=1e-12)
 
 
 def test_trace_is_zero():
