@@ -60,6 +60,10 @@ class DuplicateHyperedge(BiregError):
     """Two hyperedges contain exactly the same vertex set."""
 
 
+class WorkerDied(BiregError):
+    """A trial worker process exited without sending back its rows."""
+
+
 class UnknownConfigKey(BiregError):
     """A config names a parameter that its target does not accept."""
 

@@ -2,7 +2,9 @@
 
 Every experiment is deterministic given (parameters, seed): its graphs come
 from one stream, ``_trial_graphs``, where trial t samples on
-``trial_rng(seed, t)``, and trials run in order.  Walk-based statistics pair
+``trial_rng(seed, t)``, and one runner, ``_run_trials``, splits the trials
+among forked worker processes and joins their rows in trial order, so a
+report is the same for any worker count.  Walk-based statistics pair
 coefficients with walk counts through ``chebyshev.walk_sum`` and spectral
 ones go through ``spectra.linear_statistic``.  Parameters are checked before
 the first graph is sampled.  Reports carry the seed, the full parameter set,
@@ -14,6 +16,9 @@ from __future__ import annotations
 import inspect
 import json
 import math
+import multiprocessing
+import os
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -24,7 +29,14 @@ from scipy import stats
 
 from . import chebyshev, spectra, walks
 from .chebyshev import ChebExpansion
-from .errors import MalformedInput, MissingConfigKey, check_config_keys, check_int, check_number
+from .errors import (
+    MalformedInput,
+    MissingConfigKey,
+    WorkerDied,
+    check_config_keys,
+    check_int,
+    check_number,
+)
 from .graph import BiregularGraph, gram_shifted_sparse
 from .sampler import SamplerConfig, sample_graph, trial_rng
 
@@ -94,10 +106,12 @@ def tv_empirical_product_poisson(tuples, mus) -> tuple:
     mus = list(mus)
     counts = Counter(tuple(int(x) for x in t) for t in tuples)
     n = sum(counts.values())
+    # one pmf call over every (key, coordinate); the sums below keep the key order
+    pmf = stats.poisson.pmf(np.array(list(counts), dtype=np.int64).reshape(len(counts), len(mus)), mus)
     tv = 0.0
     mass = 0.0
-    for key, c in counts.items():
-        p = math.prod(stats.poisson.pmf(key[i], mus[i]) for i in range(len(mus)))
+    for c, row in zip(counts.values(), pmf.tolist()):
+        p = math.prod(row)
         tv += abs(c / n - p)
         mass += p
     tv = 0.5 * (tv + 1.0 - mass)
@@ -204,7 +218,7 @@ def _infer_m(n, d1, d2):
     return n * d1 // d2
 
 
-def _trial_graphs(n, m, d1, d2, method, seed, samples):
+def _trial_graphs(n, m, d1, d2, method, seed, trials):
     """The experiments' graphs: trial t samples on trial_rng(seed, t).
 
     Consume it with map, which drops each graph before the next is sampled.
@@ -213,8 +227,93 @@ def _trial_graphs(n, m, d1, d2, method, seed, samples):
     n = 2000.
     """
     config = SamplerConfig(method=method, seed=seed)
-    for t in range(samples):
+    for t in trials:
         yield sample_graph(n, m, d1, d2, config, trial_rng(seed, t))
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on; the trial runner forks
+    min(_cpu_count(), samples) workers."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _run_chunk(chunk, trials, conn) -> None:
+    """A worker's whole life: run one chunk, send back its rows or its exception."""
+    try:
+        result = list(chunk(trials)), None
+    except Exception as exc:
+        result = None, exc
+    conn.send(result)
+    conn.close()
+
+
+def _run_trials(chunk, samples):
+    """The rows of chunk(range(samples)), in trial order.
+
+    chunk(trials) returns an iterable of one row per trial index.  The trials
+    are split into contiguous chunks, one per worker; since trial t samples
+    on trial_rng(seed, t), the joined rows do not depend on the worker count.
+    With one worker, chunk runs in this process and its iterable is returned
+    as it is.  Otherwise each chunk runs in a forked child, which sends back
+    its rows (or its exception) through a one-way pipe and exits; chunk may
+    be a closure, since nothing of it is pickled.  Every child is joined
+    before the first exception, in trial order, is re-raised; a child that
+    exits without sending counts as WorkerDied.
+    """
+    workers = min(_cpu_count(), samples)
+    if workers == 1:
+        return chunk(range(samples))
+    # "fork", named because Python 3.14 defaults to "forkserver": a spawned
+    # worker would import numpy and scipy again on every call
+    ctx = multiprocessing.get_context("fork")
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()  # a child flushes its copy of the buffers on exit
+    bounds = [samples * w // workers for w in range(workers + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds, bounds[1:]):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_chunk, args=(chunk, range(lo, hi), send))
+            children.append((child, recv))
+            child.start()
+            send.close()
+        results = []
+        for child, recv in children:
+            try:
+                results.append(recv.recv())
+            except EOFError:
+                child.join()
+                msg = f"a trial worker exited with code {child.exitcode} before sending its rows"
+                results.append((None, WorkerDied(msg)))
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            recv.close()
+            child.join()
+    for _, exc in results:
+        if exc is not None:
+            raise exc
+    return [row for rows, _ in results for row in rows]
+
+
+def _trial_rows(row, n, m, d1, d2, method, seed, samples, eigensolve=False):
+    """[row(g) for the graph g of each trial], in trial order.
+
+    Workers run whole trials unless row eigensolves.  LAPACK then runs only
+    in this process: OpenBLAS eigenvalues depend on its thread count, and
+    eigensolves in two processes oversubscribe the cores (the n = 2000 solve
+    went from 0.5 s to 7.3 s).  So workers only sample, and only for the
+    switch chain; a stub-matched trial is nearly all eigensolve.
+    """
+    graphs = partial(_trial_graphs, n, m, d1, d2, method, seed)
+    if not eigensolve:
+        return list(_run_trials(lambda trials: map(row, graphs(trials)), samples))
+    chain = SamplerConfig(method=method).resolve_method(n, m, d1, d2) == "switch-chain"
+    return list(map(row, _run_trials(graphs, samples) if chain else graphs(range(samples))))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +335,8 @@ def poisson_experiment(
     """Sample graphs and compare (C_2..C_r) with independent Poissons."""
     if r < 2:
         raise ValueError("r must be >= 2")
-    graphs = _trial_graphs(n, m, d1, d2, method, seed, samples)
-    rows = np.array(list(map(partial(cycle_count_vector, r=r), graphs)), dtype=np.int64)
+    counts = partial(cycle_count_vector, r=r)
+    rows = np.array(_trial_rows(counts, n, m, d1, d2, method, seed, samples), dtype=np.int64)
     mus = [poisson_cycle_mean(k, d1, d2) for k in range(2, r + 1)]
     statistics = {}
     distances = {}
@@ -323,8 +422,8 @@ def fluctuation_experiment_fixed(
             return spectra.fluctuation_fixed(spectra.eigenvalues(g), exp)
         return chebyshev.walk_sum(exp.coeffs, walks.cnbw_counts_up_to(g, deg), q)
 
-    graphs = _trial_graphs(n, m, d1, d2, method, seed, samples)
-    ys = np.array(list(map(statistic, graphs)), dtype=float)
+    ys = _trial_rows(statistic, n, m, d1, d2, method, seed, samples, eigensolve=use_eigenvalues)
+    ys = np.array(ys, dtype=float)
     limit_rng_base = samples  # separate stream indices for the limit draws
     limit = np.array(
         [sample_limit_Yf(exp, d1, d2, k_max, trial_rng(seed, limit_rng_base + t)) for t in range(samples)],
@@ -374,8 +473,8 @@ def fluctuation_experiment_growing(
         sample = spectra.eigenvalues(g)
         return [spectra.fluctuation_growing(sample, e, r_n) for e in exps]
 
-    graphs = _trial_graphs(n, m, d1, d2, method, seed, samples)
-    ys = np.array(list(map(statistics_of, graphs)), dtype=float)
+    ys = _trial_rows(statistics_of, n, m, d1, d2, method, seed, samples, eigensolve=True)
+    ys = np.array(ys, dtype=float)
     statistics = {}
     distances = {}
     for i, e in enumerate(exps):
@@ -461,7 +560,7 @@ def globallaw_experiment(
             abs(sample.eigenvalues[0] - sample.top_exact),
         )
 
-    rows = list(map(row, _trial_graphs(n, m, d1, d2, method, seed, samples)))
+    rows = _trial_rows(row, n, m, d1, d2, method, seed, samples, eigensolve=True)
     ks = np.array([r[0] for r in rows])
     edge = np.array([r[1] for r in rows])
     top = np.array([r[2] for r in rows])

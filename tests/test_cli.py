@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
 from bireg import experiments, spectra
 from bireg.cli import dispatch
+from bireg.errors import MalformedInput
 from bireg.graph import load_graph
 
 
@@ -341,3 +344,52 @@ def test_density_curve_runs_no_eigensolve(tmp_path, monkeypatch):
     assert solves == []
     assert run(["spectrum", "--in", str(g), "--out", str(out)]) == 0
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("raising", ["budget", "trial 1 on"])
+def test_a_worker_error_reaches_the_cli_as_with_one_worker(tmp_path, capsys, monkeypatch, raising):
+    # (8,8) stub matching at n = 16 accepts about once in e^24.5 pairings, so
+    # every trial exceeds its budget; "trial 1 on" fails in every chunk but the
+    # first of three, and the error of the lowest trial must win
+    params = {"n": 16, "m": 16, "d1": 8, "d2": 8, "r": 2, "samples": 4, "method": "exact-rejection"}
+    if raising != "budget":
+        params.update(n=30, m=30, d1=3, d2=3)
+        real = experiments.trial_rng
+
+        def trial_rng(seed, t=0):
+            if t >= 1:
+                raise MalformedInput(f"trial {t} refused")
+            return real(seed, t)
+
+        monkeypatch.setattr(experiments, "trial_rng", trial_rng)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"experiment": "poisson", "params": params, "output": str(tmp_path / "r.json")}))
+    errs = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
+        assert run(["experiment", "--config", str(cfg)]) == 1
+        errs.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert errs[0].startswith("error: ") and errs[0].count("\n") == 1
+    assert ("no simple matching" if raising == "budget" else "trial 1 refused") in errs[0]
+    assert "Traceback" not in errs[0]
+    assert errs == [errs[0]] * 3
+
+
+def test_a_worker_that_dies_is_a_typed_error(tmp_path, capsys, monkeypatch):
+    # a worker killed before it sends its rows (say, by the OOM killer)
+    real = experiments.trial_rng
+
+    def trial_rng(seed, t=0):
+        if t == 3:
+            os._exit(3)
+        return real(seed, t)
+
+    monkeypatch.setattr(experiments, "trial_rng", trial_rng)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    cfg = tmp_path / "c.json"
+    params = {"n": 30, "m": 30, "d1": 3, "d2": 3, "r": 2, "samples": 4}
+    cfg.write_text(json.dumps({"experiment": "poisson", "params": params, "output": str(tmp_path / "r.json")}))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: a trial worker exited with code 3 before sending its rows\n"
+    assert multiprocessing.active_children() == []

@@ -1,5 +1,8 @@
 import json
+import math
+import multiprocessing
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from bireg.experiments import (
     tv_empirical_product_poisson,
     tv_two_samples,
 )
-from bireg.sampler import trial_rng
+from bireg.sampler import SamplerConfig, trial_rng
 from bireg.walks import count_cycles
 from conftest import random_corpus
 
@@ -43,6 +46,20 @@ def test_tv_joint_dominates_marginals():
     assert joint >= max(tv2, tv3) - 1e-12
     assert 0 <= joint <= 1
     assert cells > 0 and bias > 0
+
+
+@pytest.mark.parametrize("r,d1,d2", [(2, 3, 3), (3, 3, 3), (4, 3, 4), (3, 2, 5)])
+def test_tv_joint_matches_the_scalar_pmf_reference(r, d1, d2):
+    mus = [poisson_cycle_mean(k, d1, d2) for k in range(2, r + 1)]
+    for seed in range(5):
+        rows = np.column_stack([trial_rng(seed, k).poisson(mu, size=300) for k, mu in enumerate(mus)])
+        counts = Counter(tuple(int(x) for x in t) for t in rows)
+        tv = mass = 0.0
+        for key, c in counts.items():
+            p = math.prod(stats.poisson.pmf(key[i], mus[i]) for i in range(len(mus)))
+            tv += abs(c / len(rows) - p)
+            mass += p
+        assert tv_empirical_product_poisson(rows, mus)[0] == float(0.5 * (tv + 1.0 - mass))
 
 
 def test_tv_two_samples_identical_is_zero():
@@ -201,7 +218,10 @@ def test_run_experiment_config_roundtrip():
 )
 def test_each_trial_graph_is_dropped_before_the_next_is_sampled(monkeypatch, run):
     # a graph that outlives its trial pins heap under the next trial's dense
-    # Gram build; globallaw at n = 2000 peaked 30 MiB higher that way
+    # Gram build; globallaw at n = 2000 peaked 30 MiB higher that way.  One
+    # worker runs in process the same chunk function that forked workers run,
+    # and only there can the patched sampler below see the trials.
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
     refs, alive = [], []
     sample_graph = experiments.sample_graph
 
@@ -214,3 +234,51 @@ def test_each_trial_graph_is_dropped_before_the_next_is_sampled(monkeypatch, run
     monkeypatch.setattr(experiments, "sample_graph", sample)
     run()
     assert alive == [0, 0, 0]
+
+
+WORKER_CONFIGS = {
+    "poisson": {"experiment": "poisson", "seed": 3,
+                "params": {"n": 60, "m": 60, "d1": 3, "d2": 3, "r": 4, "samples": 7, "keep_samples": True}},
+    "fixed-walks": {"experiment": "fluctuation-fixed", "seed": 4,
+                    "params": {"n": 60, "d1": 3, "d2": 4, "expansion": "exp", "samples": 5}},
+    "fixed-eigen-chain": {"experiment": "fluctuation-fixed", "seed": 5,
+                          "params": {"n": 40, "d1": 4, "d2": 4, "expansion": "gamma_3", "samples": 5,
+                                     "use_eigenvalues": True}},
+    "growing-chain": {"experiment": "fluctuation-growing", "seed": 6,
+                      "params": {"n": 64, "d1": 8, "d2": 8, "expansions": ["phi_2", "phi_3"], "samples": 5}},
+    "globallaw-chain": {"experiment": "globallaw", "seed": 7,
+                        "params": {"n": 60, "d1": 6, "d2": 6, "model": "fixed-degree", "samples": 4}},
+    "globallaw-stub": {"experiment": "globallaw", "seed": 8,
+                       "params": {"n": 90, "d1": 3, "d2": 3, "model": "semicircle", "samples": 3}},
+}
+
+
+@pytest.mark.parametrize("name", WORKER_CONFIGS)
+def test_reports_are_byte_identical_for_any_worker_count(tmp_path, monkeypatch, name):
+    reports = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
+        path = tmp_path / f"{workers}.json"
+        run_experiment(WORKER_CONFIGS[name]).save(path)
+        reports.append(path.read_bytes())
+        assert multiprocessing.active_children() == []
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+@pytest.mark.parametrize("name", WORKER_CONFIGS)
+def test_workers_sample_and_only_this_process_eigensolves(monkeypatch, name):
+    # LAPACK's eigenvalues depend on its thread count, so no worker may
+    # eigensolve, and a stub-matched eigensolve trial runs in process
+    config = WORKER_CONFIGS[name]
+    p = config["params"]
+    method = SamplerConfig().resolve_method(p["n"], p.get("m", p["n"] * p["d1"] // p["d2"]), p["d1"], p["d2"])
+    assert (method == "switch-chain") == name.endswith("chain")
+    eigen = config["experiment"] in ("fluctuation-growing", "globallaw") or p.get("use_eigenvalues", False)
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    sampled, solved = [], []
+    sample_graph, eigenvalues = experiments.sample_graph, experiments.spectra.eigenvalues
+    monkeypatch.setattr(experiments, "sample_graph", lambda *a: sampled.append(1) or sample_graph(*a))
+    monkeypatch.setattr(experiments.spectra, "eigenvalues", lambda g: solved.append(1) or eigenvalues(g))
+    run_experiment(config)
+    assert len(sampled) == (p["samples"] if eigen and method != "switch-chain" else 0)
+    assert len(solved) == (p["samples"] if eigen else 0)
