@@ -36,6 +36,11 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
+def _check_kmax(kmax):
+    if kmax < 0:
+        raise ValueError("kmax must be >= 0")
+
+
 def _cmd_sample(args):
     config = SamplerConfig(method=args.method, mcmc_steps=args.mcmc_steps, seed=args.seed)
     g = sample_graph(args.n, args.m, args.d1, args.d2, config, trial_rng(args.seed))
@@ -93,6 +98,7 @@ def _cmd_identity(args):
 
 
 def _cmd_switchings(args):
+    _check_kmax(args.kmax)
     g = load_graph(args.input)
     rows = []
     for alpha in switching.short_cycles(g, args.r):
@@ -137,6 +143,7 @@ def _cmd_hypergraph(args):
         return 0
     if args.input is None:
         raise ValueError("hypergraph check needs --in")
+    _check_kmax(args.kmax)
     h = hypergraph.load_hypergraph(args.input)
     gap = hypergraph.adjacency_identity_gap(h)
     rows = [("adjacency_identity_gap", gap)]

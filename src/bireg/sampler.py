@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._switch_kernel import run_swaps
 from .errors import BalanceViolation, RejectionBudgetExceeded, TooLarge
 from .graph import BiregularGraph
 
@@ -56,8 +55,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.method not in ("auto", "exact-rejection", "switch-chain"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.method == "switch-chain" and self.mcmc_steps < 1:
-            raise ValueError("mcmc_steps must be >= 1 for the switch chain")
+        if self.mcmc_steps < 1:
+            raise ValueError("mcmc_steps must be >= 1")
 
     def resolve_method(self, n: int, m: int, d1: int, d2: int) -> str:
         if self.method != "auto":
@@ -106,40 +105,57 @@ def seed_graph(n, m, d1, d2) -> BiregularGraph:
     return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack((i, (i * d1 + t) % m)))
 
 
-def _run_chain(g: BiregularGraph, rng, burnin_target, steps):
-    u, v = np.divmod(g.keys, g.m)
-    present = np.zeros((g.n, g.m), dtype=np.bool_)
-    present[u, v] = True
-    ne = len(u)
+def sample_switch_chain(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGraph:
+    """Approximately uniform sample from a fresh double-edge-swap chain.
+
+    The state is the list of edge keys i*m + j, one slot per edge, and the set
+    of the same keys: O(|E|) memory.  A proposal picks two slots (a, b) and
+    swaps their V2 ends, i.e. shifts each key by the difference of the two
+    rows; it is rejected when either new key is already an edge, which also
+    covers a == b, equal rows and equal columns.  Burn-in runs to
+    BURNIN_FACTOR * |E| accepted swaps, with a proposal cap so that frozen
+    spaces (e.g. K_{2,2}) terminate; config.mcmc_steps proposals follow.
+    """
+    seed_keys = seed_graph(n, m, d1, d2).keys
+    keys = seed_keys.tolist()
+    rows = (seed_keys - seed_keys % m).tolist()  # i*m of each slot, fixed
+    present = set(keys)
+    add, remove = present.add, present.remove
+    ne = len(keys)
 
     def run_block(count):
-        a = rng.integers(0, ne, size=count)
-        b = rng.integers(0, ne, size=count)
-        return run_swaps(u, v, present, a, b)
+        accepted = 0
+        prop_a = rng.integers(0, ne, size=count).tolist()
+        prop_b = rng.integers(0, ne, size=count).tolist()
+        for a, b in zip(prop_a, prop_b):
+            ka, kb = keys[a], keys[b]
+            shift = rows[a] - rows[b]
+            new_a, new_b = kb + shift, ka - shift
+            if new_a in present or new_b in present:
+                continue
+            remove(ka)
+            remove(kb)
+            add(new_a)
+            add(new_b)
+            keys[a], keys[b] = new_a, new_b
+            accepted += 1
+        return accepted
 
-    # burn-in: run until the accepted-swap target, with a proposal cap so
-    # frozen spaces (e.g. K_{2,2}, where every proposal is rejected) terminate
+    burnin_target = BURNIN_FACTOR * ne
     accepted = 0
     proposals = 0
-    cap = 40 * max(burnin_target, 1) + 1000
+    cap = 40 * burnin_target + 1000
     while accepted < burnin_target and proposals < cap:
         block = min(PROPOSAL_BLOCK, cap - proposals)
         accepted += run_block(block)
         proposals += block
 
     done = 0
-    while done < steps:
-        block = min(PROPOSAL_BLOCK, steps - done)
+    while done < config.mcmc_steps:
+        block = min(PROPOSAL_BLOCK, config.mcmc_steps - done)
         run_block(block)
         done += block
-    return BiregularGraph(n=g.n, m=g.m, d1=g.d1, d2=g.d2, edges=np.column_stack((u, v)))
-
-
-def sample_switch_chain(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGraph:
-    """Approximately uniform sample from a fresh double-edge-swap chain."""
-    g0 = seed_graph(n, m, d1, d2)
-    burnin_target = BURNIN_FACTOR * len(g0.keys)
-    return _run_chain(g0, rng, burnin_target, config.mcmc_steps)
+    return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack(np.divmod(keys, m)))
 
 
 def sample_graph(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGraph:

@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  The full suite took 6 to 8.5 minutes in three runs on a 2-vCPU
-host, with experiments running one worker process per CPU; criteria 7, 10
-and 9 took most of it, 97-143 s, 73-130 s and 72-106 s.
+lines.  In a 231 s run of the whole tier-1 suite on a 2-vCPU host, with
+experiments running one worker process per CPU, criteria 9, 7, 5, 10 and 8
+took 63 s, 40 s, 34 s, 27 s and 21 s.
 """
 
 import random

@@ -139,6 +139,31 @@ def test_negative_identity_horizon_is_an_error(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_negative_switching_and_hypergraph_horizons_are_errors(tmp_path, capsys):
+    g, h = tmp_path / "g.json", tmp_path / "h.json"
+    assert run(["sample", "--n", "4", "--m", "4", "--d1", "2", "--d2", "2", "--out", str(g)]) == 0
+    assert run(["hypergraph", "sample", "--n", "30", "--d1", "3", "--d2", "3", "--out", str(h)]) == 0
+    capsys.readouterr()
+    for argv in (["switchings", "--in", str(g), "--kmax", "-1"],
+                 ["hypergraph", "check", "--in", str(h), "--kmax", "-2"]):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: kmax must be >= 0\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("method", [[], ["--method", "switch-chain"]])
+def test_nonpositive_mcmc_steps_is_an_error_for_any_method(tmp_path, capsys, method):
+    # auto resolves (8,8) at n = 20 to the switch chain, so both forms pick it
+    out = tmp_path / "g.json"
+    assert run(["sample", "--n", "20", "--m", "20", "--d1", "8", "--d2", "8",
+                "--mcmc-steps", "-5", *method, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: mcmc_steps must be >= 1\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_a_typed_error(tmp_path, capsys):
     cfg = tmp_path / "bogus.json"
     cfg.write_text(json.dumps({

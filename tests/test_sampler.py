@@ -116,6 +116,64 @@ def test_switch_chain_on_frozen_space_returns_seed():
     assert g == complete_bipartite(2, 2)
 
 
+def _reference_chain(n, m, d1, d2, rng, steps):
+    """Sorted edge keys of a double-edge-swap chain on numpy endpoint arrays
+    and a dense n x m occupancy table, started from the edges
+    (i, (i*d1 + t) mod m) in (i, j) order; each block draws all its a
+    proposals, then all its b proposals."""
+    rows = np.repeat(np.arange(n), d1)
+    u, v = np.divmod(np.sort(rows * m + (rows * d1 + np.tile(np.arange(d1), n)) % m), m)
+    present = np.zeros((n, m), dtype=bool)
+    present[u, v] = True
+    ne = n * d1
+
+    def block(count):
+        a_all = rng.integers(0, ne, size=count)
+        b_all = rng.integers(0, ne, size=count)
+        accepted = 0
+        for a, b in zip(a_all, b_all):
+            if a == b or u[a] == u[b] or v[a] == v[b]:
+                continue
+            if present[u[a], v[b]] or present[u[b], v[a]]:
+                continue
+            present[u[a], v[a]] = present[u[b], v[b]] = False
+            present[u[a], v[b]] = present[u[b], v[a]] = True
+            v[a], v[b] = v[b], v[a]
+            accepted += 1
+        return accepted
+
+    target, cap = 20 * ne, 40 * 20 * ne + 1000
+    accepted = proposals = 0
+    while accepted < target and proposals < cap:
+        count = min(1 << 14, cap - proposals)
+        accepted += block(count)
+        proposals += count
+    for start in range(0, steps, 1 << 14):
+        block(min(1 << 14, steps - start))
+    return np.sort(u * m + v)
+
+
+@pytest.mark.parametrize(
+    "n, m, d1, d2, steps",
+    [
+        (2, 2, 2, 2, 200),  # K_{2,2}: every proposal fails, burn-in stops at the cap
+        (3, 3, 2, 2, 10000),
+        (5, 5, 1, 1, 100),
+        (60, 40, 4, 6, 2000),
+        (30, 90, 6, 2, 2000),
+        (100, 100, 8, 8, 2000),  # burn-in spans two proposal blocks
+        (12, 12, 3, 3, 1),
+    ],
+)
+def test_switch_chain_matches_dense_table_oracle(n, m, d1, d2, steps):
+    config = SamplerConfig(method="switch-chain", mcmc_steps=steps)
+    for seed in range(3):
+        rng, ref_rng = trial_rng(seed), trial_rng(seed)
+        g = sample_switch_chain(n, m, d1, d2, config, rng)
+        assert np.array_equal(g.keys, _reference_chain(n, m, d1, d2, ref_rng, steps))
+        assert rng.integers(2**62) == ref_rng.integers(2**62)
+
+
 def test_switch_chain_states_stay_biregular():
     c = SamplerConfig(method="switch-chain", mcmc_steps=100, seed=0)
     for t in range(10):
