@@ -36,9 +36,9 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _check_kmax(kmax):
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+def _check_at_least(name, value, low):
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
 
 
 def _cmd_sample(args):
@@ -68,6 +68,8 @@ def _cmd_walks(args):
 
 
 def _cmd_spectrum(args):
+    _check_at_least("bins", args.bins, 0)
+    _check_at_least("points", args.points, 1)
     g = load_graph(args.input)
     if args.density:
         xs = np.linspace(-2.0, 2.0, args.points)
@@ -98,7 +100,8 @@ def _cmd_identity(args):
 
 
 def _cmd_switchings(args):
-    _check_kmax(args.kmax)
+    _check_at_least("kmax", args.kmax, 0)
+    _check_at_least("budget", args.budget, 0)
     g = load_graph(args.input)
     rows = []
     for alpha in switching.short_cycles(g, args.r):
@@ -143,7 +146,7 @@ def _cmd_hypergraph(args):
         return 0
     if args.input is None:
         raise ValueError("hypergraph check needs --in")
-    _check_kmax(args.kmax)
+    _check_at_least("kmax", args.kmax, 0)
     h = hypergraph.load_hypergraph(args.input)
     gap = hypergraph.adjacency_identity_gap(h)
     rows = [("adjacency_identity_gap", gap)]

@@ -165,15 +165,16 @@ def complete_bipartite(n: int, m: int) -> BiregularGraph:
     return BiregularGraph(n=n, m=m, d1=m, d2=n, edges=edges)
 
 
-def gram_shifted_sparse(g: BiregularGraph) -> sparse.csr_array:
-    """X X^T - d1 I as a sparse int64 matrix, with its zero diagonal dropped.
+def gram_shifted_sparse(g: BiregularGraph, shift: int | None = None) -> sparse.csr_array:
+    """X X^T - shift*I as a sparse int64 matrix, shift = d1 unless given, with
+    zero diagonal entries dropped (at shift = d1 the whole diagonal).
 
     Row i has at most 1 + d1*(d2-1) stored entries, so the product costs
     O(n d1 d2) whatever the shape of X.
     """
     x = g.biadjacency
     p = x @ x.T
-    p.setdiag(p.diagonal() - g.d1)
+    p.setdiag(p.diagonal() - (g.d1 if shift is None else shift))
     p.eliminate_zeros()
     return p
 

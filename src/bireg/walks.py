@@ -26,8 +26,11 @@ as mutual oracles:
   tr B^t, and the explicit coefficient expansions of the Chebyshev-type
   polynomials.  It shares no code or recurrence with the matrix path.
 
-All counts are exact: a recurrence step (step guard) and a Frobenius product
-(Frobenius guard) each leave int64 for Python ints when its bound trips.
+All counts are exact.  Each recurrence step, the Frobenius products and each
+trace run in the narrowest of three tiers that a bound on their partial sums
+allows: int32 below 2^31, int64 below 2^62, and Python-int (object) arrays
+above.  The step bound is (d1(d2-1) + |d2-2|)*max|U_j| + q*max|U_{j-1}|, the
+Frobenius bound n^2*max|U_h|*max_b max|U_b|, and the trace bound n*max|U_k|.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy import sparse
 
 from .chebyshev import cnbw_constant
 from .errors import HorizonTooLarge, TooLarge
@@ -44,7 +46,6 @@ from .graph import BiregularGraph, gram_shifted_sparse
 
 CYCLE_BUDGET = 10**7
 WALK_BUDGET = 10**7
-_INT64_SAFE = 2**62
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +99,27 @@ def count_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET) -> int:
 
 
 def _absmax(x) -> int:
-    return int(max(x.max(), -x.min()))
+    return max(int(x.max()), -int(x.min()))
+
+
+# (dtype, limit): an integer computation whose partial sums all stay below
+# limit in absolute value is exact in dtype; object arrays hold Python ints
+_TIERS = ((np.int32, 2**31), (np.int64, 2**62), (object, None))
+
+
+def _tier(bound: int):
+    """The narrowest dtype of _TIERS that holds every partial sum up to bound."""
+    for dtype, limit in _TIERS:
+        if limit is None or bound < limit:
+            return dtype
+
+
+class _UFamily(list):
+    """[U_1, ..., U_k], with maxes[j] = max|U_j| for j = 0..k (U_0 = I)."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxes = [1]
 
 
 def _u_matrices(g: BiregularGraph, kmax: int) -> list:
@@ -109,24 +130,31 @@ def _u_matrices(g: BiregularGraph, kmax: int) -> list:
     Each step multiplies the sparse B into the dense U_j.  A row of B has
     absolute sum d1(d2-1) + |d2-2| (co-degrees adding up to d1(d2-1) off the
     diagonal, 2-d2 on it), so every partial sum of a step is at most
-    (d1(d2-1) + |d2-2|)*max|U_j| + q*max|U_{j-1}|.  While that measured bound
-    stays below 2^62 the step runs in int64; once it does not, the matrices
-    become Python-int arrays.
+    (d1(d2-1) + |d2-2|)*max|U_j| + q*max|U_{j-1}|.  Each step runs in the
+    narrowest tier of _TIERS that this bound allows: int32 below 2^31, int64
+    below 2^62, Python-int arrays above, and U_{j+1} keeps that dtype.  B is
+    cast once per change of tier, and each max|U_j| is measured once, when
+    U_j is made.
     """
-    b = gram_shifted_sparse(g) - (g.d2 - 2) * sparse.eye_array(g.n, dtype=np.int64, format="csr")
+    b = gram_shifted_sparse(g, g.d1 + g.d2 - 2)
     row, q = g.d1 * (g.d2 - 1) + abs(g.d2 - 2), g.q
-    mats = [b.toarray()][:kmax]
-    for j in range(1, kmax):
-        prev_max = _absmax(mats[j - 2]) if j > 1 else 1  # U_0 = I
-        if mats[j - 1].dtype != object and row * _absmax(mats[j - 1]) + q * prev_max >= _INT64_SAFE:
-            mats = [m.astype(object) for m in mats]
-            b = mats[0]
-        nxt = b @ mats[j - 1]
-        if j == 1:
-            nxt[np.diag_indices(g.n)] -= q
+    mats = _UFamily()
+    dtype = None
+    for j in range(kmax):  # U_{j+1} from U_j and U_{j-1}
+        step = _tier(row * mats.maxes[j] + q * (mats.maxes[j - 1] if j else 0))
+        if step is not dtype:
+            dtype = step
+            b_tier = b.toarray().astype(object) if dtype is object else b.astype(dtype)
+        if j == 0:
+            nxt = b.toarray().astype(dtype, copy=False)
         else:
-            nxt -= q * mats[j - 2]
+            nxt = b_tier @ mats[j - 1].astype(dtype, copy=False)
+            if j == 1:
+                nxt[np.diag_indices(g.n)] -= q
+            else:
+                nxt -= q * mats[j - 2].astype(dtype, copy=False)
         mats.append(nxt)
+        mats.maxes.append(_absmax(nxt))
     return mats
 
 
@@ -139,21 +167,23 @@ def walk_counts(g: BiregularGraph, kmax: int) -> tuple:
 
     The recurrence runs to h = ceil(kmax/2) only.  Above h, the product
     identity U_aU_b = sum_{i<=min(a,b)} q^i U_{a+b-2i} gives
-    t_{h+b} = <U_h, U_b>_F - sum_{i=1..b} q^i t_{h+b-2i} for b <= h, in int64
-    only while n^2*max|U_h|*max|U_b| < 2^62.
+    t_{h+b} = <U_h, U_b>_F - sum_{i=1..b} q^i t_{h+b-2i} for b <= h.  Every
+    product runs in the tier of n^2*max|U_h|*max_b max|U_b|, and each trace
+    in the tier of n*max|U_k|.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
     h = (kmax + 1) // 2
     mats = _u_matrices(g, h)
     q = g.q
-    # diagonals summed as Python ints: a trace can pass 2^63
-    t = [g.n] + [sum(map(int, u.diagonal())) for u in mats]
-    for b in range(1, kmax - h + 1):
-        x, y = mats[h - 1], mats[b - 1]
-        if x.dtype != object and x.size * _absmax(x) * _absmax(y) >= _INT64_SAFE:
-            x, y = x.astype(object), y.astype(object)
-        t.append(int(np.vdot(x, y)) - sum(q**i * t[h + b - 2 * i] for i in range(1, b + 1)))
+    t = [g.n] + [int(np.trace(u, dtype=_tier(g.n * top))) for u, top in zip(mats, mats.maxes[1:])]
+    if kmax > h:
+        dtype = _tier(g.n**2 * mats.maxes[h] * max(mats.maxes[1 : kmax - h + 1]))
+        for b in range(1, kmax - h + 1):
+            # the bound also covers every entry (max_b max|U_b| >= max|U_1| >= 1),
+            # so casting a wider U_h or U_b into dtype is exact
+            dot = np.einsum("ij,ij->", mats[h - 1], mats[b - 1], dtype=dtype, casting="unsafe")
+            t.append(int(dot) - sum(q**i * t[h + b - 2 * i] for i in range(1, b + 1)))
     rows = list(zip(range(1, kmax + 1), t[1:], t, [0] + t[:-2]))  # (k, t_k, t_{k-1}, t_{k-2})
     nbw = [tk + (g.d2 - 2) * tk1 - (g.d2 - 1) * tk2 for _, tk, tk1, tk2 in rows]
     cnbw = [tk - q * tk2 + cnbw_constant(k, g.n, g.d1, g.d2) for k, tk, _, tk2 in rows]

@@ -164,6 +164,23 @@ def test_nonpositive_mcmc_steps_is_an_error_for_any_method(tmp_path, capsys, met
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["switchings", "--budget", "-1"], "budget must be >= 0"),
+    (["spectrum", "--bins", "-3"], "bins must be >= 0"),
+    (["spectrum", "--density", "semicircle", "--points", "-1"], "points must be >= 1"),
+    (["spectrum", "--density", "semicircle", "--points", "0"], "points must be >= 1"),
+], ids=["budget", "bins", "points-negative", "points-zero"])
+def test_bad_counts_are_refused_before_the_graph_loads(tmp_path, capsys, argv, message):
+    # the graph file does not exist, so only a check made before loading it
+    # gives this message
+    out = tmp_path / "out.tsv"
+    assert run([*argv, "--in", str(tmp_path / "missing.json"), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_a_typed_error(tmp_path, capsys):
     cfg = tmp_path / "bogus.json"
     cfg.write_text(json.dumps({

@@ -15,6 +15,7 @@ from bireg.errors import TooLarge
 from bireg.graph import complete_bipartite
 from bireg.sampler import SamplerConfig, sample_graph, trial_rng
 from bireg.walks import (
+    _tier,
     _u_matrices,
     brute_force_walks,
     closed_walk_counts,
@@ -71,11 +72,12 @@ def reference_recurrence(g, kmax):
     return mats
 
 
-def a_matrices(g, kmax):
-    """[None, A(1), ..., A(kmax)] formed from the library's U family as
-    A(k) = U_k + (d2-2) U_{k-1} - (d2-1) U_{k-2}, with U_0 = I and U_{-1} = 0."""
-    us = [0, np.eye(g.n, dtype=np.int64)] + _u_matrices(g, kmax)  # us[k+1] = U_k
-    return [None] + [us[k + 1] + (g.d2 - 2) * us[k] - (g.d2 - 1) * us[k - 1] for k in range(1, kmax + 1)]
+def a_matrices(g, us):
+    """[None, A(1), ..., A(kmax)] formed from the library's U family
+    us = [U_1, ..., U_kmax] as A(k) = U_k + (d2-2) U_{k-1} - (d2-1) U_{k-2},
+    with U_0 = I and U_{-1} = 0, in Python ints whatever the dtype of each U_k."""
+    us = [0, np.eye(g.n, dtype=object)] + [u.astype(object) for u in us]  # us[k+1] = U_k
+    return [None] + [us[k + 1] + (g.d2 - 2) * us[k] - (g.d2 - 1) * us[k - 1] for k in range(1, len(us) - 1)]
 
 
 def tail_recursion_cnbw(g, nbw):
@@ -92,11 +94,20 @@ def tail_recursion_cnbw(g, nbw):
 
 
 def assert_matches_reference(g, kmax):
-    mats = a_matrices(g, kmax)
+    """Check every A(k) made from _u_matrices(g, kmax) against the reference;
+    return the library's [U_1, ..., U_kmax]."""
+    us = _u_matrices(g, kmax)
+    mats = a_matrices(g, us)
     ref = reference_recurrence(g, kmax)
     for k in range(1, kmax + 1):
         assert mats[k].tolist() == ref[k], f"A({k}) differs"
-    return mats
+    return us
+
+
+def narrowest_tier(bound):
+    """The dtype an exact integer computation needs when its partial sums
+    stay below bound: int32 below 2^31, int64 below 2^62, Python ints above."""
+    return np.dtype(np.int32) if bound < 2**31 else np.dtype(np.int64) if bound < 2**62 else np.dtype(object)
 
 
 def nonbacktracking_walks(g, k, cyclic):
@@ -158,7 +169,7 @@ def test_cycle_budget():
 
 
 def test_nbw_matrices_k22(k22):
-    mats = a_matrices(k22, 3)
+    mats = a_matrices(k22, _u_matrices(k22, 3))
     assert np.array_equal(mats[1], [[0, 2], [2, 0]])
     assert np.array_equal(mats[2], 2 * np.eye(2))
     assert np.array_equal(mats[3], mats[1])
@@ -166,7 +177,7 @@ def test_nbw_matrices_k22(k22):
 
 def test_nbw_matrices_hexagon(hexagon):
     j = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
-    mats = a_matrices(hexagon, 3)
+    mats = a_matrices(hexagon, _u_matrices(hexagon, 3))
     assert np.array_equal(mats[1], j)
     assert np.array_equal(mats[2], j)
     assert np.array_equal(mats[3], 2 * np.eye(3))
@@ -189,27 +200,51 @@ def test_cnbw_fixtures(k22, hexagon):
 
 def test_nbw_matrix_entries_nonnegative():
     for g in random_corpus(5, 10, 10, 3, 3, seed=11):
-        mats = a_matrices(g, 6)
+        mats = a_matrices(g, _u_matrices(g, 6))
         for k in range(1, 7):
             assert np.all(mats[k] >= 0)
 
 
 def test_bigint_escalation_matches_small_k(k33):
-    # A(40) of K_{3,3} passes 2^62, so the run ends in Python ints
-    mats = assert_matches_reference(k33, 40)
-    assert mats[40].dtype == object
+    # U_40 of K_{3,3} passes 2^62, so the run ends in Python ints
+    us = assert_matches_reference(k33, 40)
+    assert us[39].dtype == object
 
 
 def test_recurrence_matches_reference_on_sampled_graph():
+    # at (3,3,300) every step bound up to U_14 stays below 2^31
     g = sample_graph(300, 300, 3, 3, SamplerConfig(seed=7), trial_rng(7, 0))
-    mats = assert_matches_reference(g, 14)
-    assert mats[14].dtype == np.int64
+    us = assert_matches_reference(g, 14)
+    assert [u.dtype for u in us] == [np.dtype(np.int32)] * 14
 
 
 def test_recurrence_switches_tiers_mid_run():
+    # K_{8,8}: the step bound of U_6 is 62*max|U_5| + 49*max|U_4| > 2^31,
+    # and that of U_12 passes 2^62
     g = complete_bipartite(8, 8)
-    assert _u_matrices(g, 6)[5].dtype == np.int64
-    assert assert_matches_reference(g, 12)[12].dtype == object
+    us = assert_matches_reference(g, 12)
+    assert [u.dtype for u in us] == [np.dtype(t) for t in [np.int32] * 5 + [np.int64] * 6 + [object]]
+
+
+@pytest.mark.parametrize("d,kmax", [(3, 40), (8, 12)], ids=["K33", "K88"])
+def test_each_recurrence_step_runs_in_its_narrowest_tier(d, kmax):
+    # step bound of U_k: row*max|U_{k-1}| + q*max|U_{k-2}|, with U_0 = I,
+    # U_{-1} = 0 and row = d1(d2-1) + |d2-2| the absolute row sum of B
+    g = complete_bipartite(d, d)
+    us = assert_matches_reference(g, kmax)
+    row = g.d1 * (g.d2 - 1) + abs(g.d2 - 2)
+    maxes = [0, 1] + [max(abs(v) for v in u.ravel().tolist()) for u in us]  # maxes[k+1] = max|U_k|
+    for k in range(1, kmax + 1):
+        assert us[k - 1].dtype == narrowest_tier(row * maxes[k] + g.q * maxes[k - 1]), f"U_{k}"
+    assert {u.dtype for u in us} == {np.dtype(np.int32), np.dtype(np.int64), np.dtype(object)}
+
+
+def test_tier_limits():
+    assert _tier(0) is np.int32
+    assert _tier(2**31 - 1) is np.int32
+    assert _tier(2**31) is np.int64
+    assert _tier(2**62 - 1) is np.int64
+    assert _tier(2**62) is object
 
 
 def test_nbw_count_trace_does_not_wrap():
