@@ -92,6 +92,7 @@ def _cmd_spectrum(args):
 
 
 def _cmd_identity(args):
+    _check_at_least("kmax", args.kmax, 1)
     g = load_graph(args.input)
     residuals = spectra.identity_residuals(g, args.kmax)
     rows = [(k, f"{gr:.3e}", f"{pr:.3e}") for k, (gr, pr) in enumerate(residuals, start=1)]

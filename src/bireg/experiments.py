@@ -37,7 +37,7 @@ from .errors import (
     check_int,
     check_number,
 )
-from .graph import BiregularGraph, gram_shifted_sparse
+from .graph import BiregularGraph
 from .sampler import SamplerConfig, sample_graph, trial_rng
 
 
@@ -151,26 +151,66 @@ def tv_two_samples(x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
+# elements of the row-sorted path array handled at once
+_PATH_BLOCK = 1 << 18
+
+
+def _sum_squared_runs(rows: np.ndarray) -> int:
+    """Sum of c^2 over the lengths c of the runs of equal values in each row
+    of a row-sorted 2-D array."""
+    if rows.size == 0:
+        return 0
+    starts = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    idx = np.flatnonzero(starts)
+    c = np.diff(idx)
+    last = rows.size - int(idx[-1])
+    return int(c @ c) + last * last
+
+
 def cycle_count_vector(g: BiregularGraph, r: int) -> list:
     """[C_2, ..., C_r]; closed-form trace counts for k <= 3, DFS beyond.
 
-    C_2 = sum_{i<l} C(codeg, 2); 6*C_3 = tr(A1^3) - 3(d2-2)(tr(P^2) - m d1 d2)
-    + 2 m d2(d2-1)(d2-2) with P = XX^T, A1 = P - d1 I (mediator-coincidence
-    inclusion-exclusion; cross-validated against the DFS enumerator).  Both
-    come from the sparse A1 in exact integer arithmetic.
+    With P = XX^T and A1 = P - d1 I, both counts come from two integer
+    arrays with one sorted row per V1 vertex p.  Flattened, they are the
+    sorted key arrays p*n + l and p*m + j with p left implicit; no sparse
+    matrix is formed.
+
+    * Co-degree pairs: row p lists, for each V2 neighbour of p, that
+      neighbour's other V1 neighbours l.  Each l appears once per shared V2
+      neighbour, so the run lengths c are the nonzero entries of A1:
+      C_2 = sum_{i<l} C(c, 2) = sum c(c-1)/4 and tr(A1^2) = sum c^2.
+    * Length-3 paths: row p lists the V2 neighbours j of every entry l of
+      the row above.  The run lengths are the entries of A1 X, so
+      tr(A1^3) = ||A1 X||_F^2 - d1 tr(A1^2).  The rows are built in blocks of
+      at most _PATH_BLOCK elements, since they hold |E| d1 (d2-1) in all.
+
+    Then 6*C_3 = tr(A1^3) - 3(d2-2)(tr(P^2) - m d1 d2) + 2 m d2(d2-1)(d2-2)
+    (mediator-coincidence inclusion-exclusion; cross-validated against the
+    DFS enumerator).  Every sum is an exact integer.
     """
     out = []
+    n, m, d1, d2 = g.n, g.m, g.d1, g.d2
+    width = d1 * (d2 - 1)  # partners per V1 vertex, with multiplicity
     if r >= 2:
-        # int64 sums are exact: at most n*d1*d2 co-degrees, each at most d1
-        a1 = gram_shifted_sparse(g)
-        codeg = a1.data
-        out.append(int((codeg * (codeg - 1)).sum()) // 4)
+        # vertex ids fit in int32 for any graph whose key array fits in memory
+        left = g.adjacency_left.astype(np.int32)
+        around = np.take(g.adjacency_right.astype(np.int32), left, axis=0).reshape(n, d1 * d2)
+        partners = around[around != np.arange(n, dtype=np.int32)[:, None]].reshape(n, width)
+        partners.sort(axis=1)
+        tr_a1_sq = _sum_squared_runs(partners)
+        out.append((tr_a1_sq - partners.size) // 4)
     if r >= 3:
-        n, m, d1, d2 = g.n, g.m, g.d1, g.d2
-        tr_a1_cubed = int((a1 @ a1).multiply(a1).sum())
-        # tr(P^2) = tr(A1^2) + n d1^2, and tr(A1^2) = sum of squared entries
-        tr_p2 = int((codeg * codeg).sum()) + n * d1 * d1
-        s_sum = tr_p2 - m * d1 * d2
+        rows_per_block = max(1, _PATH_BLOCK // max(1, width * d1))
+        a1x_sq = 0
+        for p0 in range(0, n, rows_per_block):
+            block = partners[p0 : p0 + rows_per_block]
+            paths = np.take(left, block, axis=0).reshape(len(block), -1)
+            paths.sort(axis=1)
+            a1x_sq += _sum_squared_runs(paths)
+        tr_a1_cubed = a1x_sq - d1 * tr_a1_sq
+        # tr(P^2) = tr(A1^2) + n d1^2
+        s_sum = tr_a1_sq + n * d1 * d1 - m * d1 * d2
         out.append((tr_a1_cubed - 3 * (d2 - 2) * s_sum + 2 * m * d2 * (d2 - 1) * (d2 - 2)) // 6)
     for k in range(4, r + 1):
         out.append(walks.count_cycles(g, k))

@@ -135,7 +135,7 @@ def test_negative_identity_horizon_is_an_error(tmp_path, capsys):
     capsys.readouterr()
     assert run(["identity", "--in", str(g), "--kmax", "-3"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: kmax must be >= 0\n"
+    assert captured.err == "error: kmax must be >= 1\n"
     assert captured.out == ""
 
 
@@ -169,7 +169,9 @@ def test_nonpositive_mcmc_steps_is_an_error_for_any_method(tmp_path, capsys, met
     (["spectrum", "--bins", "-3"], "bins must be >= 0"),
     (["spectrum", "--density", "semicircle", "--points", "-1"], "points must be >= 1"),
     (["spectrum", "--density", "semicircle", "--points", "0"], "points must be >= 1"),
-], ids=["budget", "bins", "points-negative", "points-zero"])
+    (["identity", "--kmax", "0"], "kmax must be >= 1"),
+    (["identity", "--kmax", "-3"], "kmax must be >= 1"),
+], ids=["budget", "bins", "points-negative", "points-zero", "identity-kmax-zero", "identity-kmax-negative"])
 def test_bad_counts_are_refused_before_the_graph_loads(tmp_path, capsys, argv, message):
     # the graph file does not exist, so only a check made before loading it
     # gives this message

@@ -23,8 +23,9 @@ from bireg.experiments import (
     tv_empirical_product_poisson,
     tv_two_samples,
 )
-from bireg.sampler import SamplerConfig, trial_rng
-from bireg.walks import count_cycles
+from bireg.graph import complete_bipartite
+from bireg.sampler import SamplerConfig, sample_graph, trial_rng
+from bireg.walks import count_cycles, walk_counts
 from conftest import random_corpus
 
 
@@ -69,10 +70,46 @@ def test_tv_two_samples_identical_is_zero():
 
 
 def test_cycle_count_vector_matches_dfs():
-    # d2 = 2 makes the (d2-2) terms of the C_3 formula vanish
-    corpus = random_corpus(6, 12, 16, 4, 3, seed=51) + random_corpus(6, 12, 18, 3, 2, seed=52)
+    # d2 = 2 makes the (d2-2) terms of the C_3 formula vanish; (2, 4) and
+    # (4, 2) have n != m both ways; d2 = 1 leaves no co-degree pairs at all;
+    # K_{3,4} has co-degree 4 and every A1 X entry above 1
+    corpus = (
+        random_corpus(6, 12, 16, 4, 3, seed=51)
+        + random_corpus(6, 12, 18, 3, 2, seed=52)
+        + random_corpus(6, 16, 8, 2, 4, seed=53)
+        + random_corpus(6, 8, 16, 4, 2, seed=54)
+        + random_corpus(2, 6, 12, 2, 1, seed=55)
+        + [complete_bipartite(3, 4), complete_bipartite(4, 3)]
+    )
     for g in corpus:
-        assert cycle_count_vector(g, 4) == [count_cycles(g, k) for k in (2, 3, 4)]
+        dfs = [count_cycles(g, k) for k in (2, 3, 4)]
+        assert cycle_count_vector(g, 4) == dfs
+        assert cycle_count_vector(g, 3) == dfs[:2]
+        assert cycle_count_vector(g, 2) == dfs[:1]
+    # K_{3,4}: C(3,2) C(4,2) 4-cycles, and the 4 copies of K_{3,3} hold 6 six-cycles each
+    assert cycle_count_vector(complete_bipartite(3, 4), 3) == [18, 24]
+
+
+def test_cycle_count_vector_is_the_same_in_any_block_size(monkeypatch):
+    corpus = random_corpus(4, 40, 30, 3, 4, seed=56) + [complete_bipartite(5, 6)]
+    whole = [cycle_count_vector(g, 3) for g in corpus]
+    for block in (1, 7, 100):
+        monkeypatch.setattr(experiments, "_PATH_BLOCK", block)
+        assert [cycle_count_vector(g, 3) for g in corpus] == whole
+
+
+def test_cycle_count_vector_matches_the_walk_counts_at_production_size():
+    # on a simple graph each cyclically non-backtracking closed walk with 2
+    # or 3 V1 steps traces a 4- or 6-cycle (B_2 = B_3 = 0), and each such
+    # cycle is traced from its k V1 starts in 2 directions: CNBW_k = 2k C_k.
+    # DFS cannot afford these sizes
+    stub = [sample_graph(300, 300, 3, 3, SamplerConfig(), trial_rng(57, t)) for t in range(20)]
+    chain_config = SamplerConfig(method="switch-chain")
+    chain = [sample_graph(200, 200, 8, 8, chain_config, trial_rng(58, t)) for t in range(5)]
+    for g in stub + chain:
+        _, cnbw = walk_counts(g, 3)
+        assert cnbw[1] % 4 == 0 and cnbw[2] % 6 == 0
+        assert cycle_count_vector(g, 3) == [cnbw[1] // 4, cnbw[2] // 6]
 
 
 def test_poisson_cycle_mean():
