@@ -60,6 +60,7 @@ def _cmd_enumerate(args):
 
 
 def _cmd_walks(args):
+    _check_at_least("r", args.r, 1)
     g = load_graph(args.input)
     table = walks.walk_table(g, args.r)
     rows = [table.row(k) for k in range(1, args.r + 1)]
@@ -103,6 +104,7 @@ def _cmd_identity(args):
 def _cmd_switchings(args):
     _check_at_least("kmax", args.kmax, 0)
     _check_at_least("budget", args.budget, 0)
+    _check_at_least("r", args.r, 2)
     g = load_graph(args.input)
     rows = []
     for alpha in switching.short_cycles(g, args.r):

@@ -25,7 +25,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import chebyshev, spectra, walks
 from .chebyshev import ChebExpansion
@@ -84,6 +84,26 @@ class Moments:
 
 
 # ---------------------------------------------------------------------------
+# the Poisson law, by the scipy.special formulas that scipy.stats evaluates
+# ---------------------------------------------------------------------------
+#
+# Importing scipy.stats would double the start-up time and memory of every
+# process; the normal CDF is likewise taken from scipy.special.ndtr.
+
+
+def poisson_pmf(k, mu):
+    """Poisson(mu) pmf at integers k >= 0, broadcast over k and mu (mu >= 0)."""
+    return np.exp(special.xlogy(k, mu) - special.gammaln(np.add(k, 1)) - mu)
+
+
+def poisson_ppf(q: float, mu: float) -> int:
+    """The least integer v with P(Poisson(mu) <= v) >= q, for 0 < q < 1."""
+    v = math.ceil(special.pdtrik(q, mu))
+    v1 = max(v - 1, 0)
+    return v1 if special.pdtr(v1, mu) >= q else v
+
+
+# ---------------------------------------------------------------------------
 # total-variation estimators (exact w.r.t. the empirical measure)
 # ---------------------------------------------------------------------------
 
@@ -92,7 +112,7 @@ def tv_empirical_poisson(values, mu: float) -> float:
     """TV between the empirical law of integer values and Poisson(mu)."""
     vals, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
     emp = counts / counts.sum()
-    pmf = stats.poisson.pmf(vals, mu)
+    pmf = poisson_pmf(vals, mu)
     return float(0.5 * (np.abs(emp - pmf).sum() + 1.0 - pmf.sum()))
 
 
@@ -107,7 +127,7 @@ def tv_empirical_product_poisson(tuples, mus) -> tuple:
     counts = Counter(tuple(int(x) for x in t) for t in tuples)
     n = sum(counts.values())
     # one pmf call over every (key, coordinate); the sums below keep the key order
-    pmf = stats.poisson.pmf(np.array(list(counts), dtype=np.int64).reshape(len(counts), len(mus)), mus)
+    pmf = poisson_pmf(np.array(list(counts), dtype=np.int64).reshape(len(counts), len(mus)), mus)
     tv = 0.0
     mass = 0.0
     for c, row in zip(counts.values(), pmf.tolist()):
@@ -118,7 +138,7 @@ def tv_empirical_product_poisson(tuples, mus) -> tuple:
     per_coord = 0.001 / max(len(mus), 1)
     cells = 1
     for mu in mus:
-        cells *= int(stats.poisson.ppf(1 - per_coord, mu)) + 1
+        cells *= poisson_ppf(1 - per_coord, mu) + 1
     return float(tv), cells, math.sqrt(cells / n)
 
 
@@ -375,6 +395,8 @@ def poisson_experiment(
     """Sample graphs and compare (C_2..C_r) with independent Poissons."""
     if r < 2:
         raise ValueError("r must be >= 2")
+    if (d1 - 1) * (d2 - 1) == 0:
+        raise MalformedInput(f"(d1, d2) = ({d1}, {d2}) has q = 0, so every Poisson mean mu_k is 0")
     counts = partial(cycle_count_vector, r=r)
     rows = np.array(_trial_rows(counts, n, m, d1, d2, method, seed, samples), dtype=np.int64)
     mus = [poisson_cycle_mean(k, d1, d2) for k in range(2, r + 1)]
@@ -528,7 +550,7 @@ def fluctuation_experiment_growing(
         }
         if target > 0:
             distances[f"ks_gaussian_Y{i}"] = spectra.ks_statistic(
-                col, lambda x, s=math.sqrt(target): stats.norm.cdf(np.asarray(x) / s)
+                col, lambda x, s=math.sqrt(target): special.ndtr(np.asarray(x) / s)
             )
     for i in range(len(exps)):
         for j in range(i + 1, len(exps)):

@@ -17,20 +17,21 @@ as mutual oracles:
   eigenvalues sqrt(q)*(lambda - (d2-2)/sqrt(q)) (Ihara-Bass form):
   NBW_k = t_k + (d2-2)t_{k-1} - (d2-1)t_{k-2} and
   CNBW_k = t_k - q*t_{k-2} + cnbw_constant(k), the Ihara-Bass constant
-  (|E| - n - m) + (m - n)(1 - d2)^k.  The recurrence runs to ceil(kmax/2);
-  the higher traces come from Frobenius products.  ``cnbw_counts_up_to``
-  returns the CNBW list alone.
+  (|E| - n - m) + (m - n)(1 - d2)^k.  The recurrence runs to ceil(kmax/2)
+  and holds two matrices at a time; each trace is a Frobenius product of
+  the two newest.  ``cnbw_counts_up_to`` returns the CNBW list alone.
 * ``brute_force_walks`` -- evaluates the same two lists from scratch:
   exhaustive DFS over *plain* closed walks (the only constraint being that
   consecutive V1 vertices differ), a binomial shift of their counts to
   tr B^t, and the explicit coefficient expansions of the Chebyshev-type
   polynomials.  It shares no code or recurrence with the matrix path.
 
-All counts are exact.  Each recurrence step, the Frobenius products and each
-trace run in the narrowest of three tiers that a bound on their partial sums
-allows: int32 below 2^31, int64 below 2^62, and Python-int (object) arrays
-above.  The step bound is (d1(d2-1) + |d2-2|)*max|U_j| + q*max|U_{j-1}|, the
-Frobenius bound n^2*max|U_h|*max_b max|U_b|, and the trace bound n*max|U_k|.
+All counts are exact.  Each recurrence step, each Frobenius product and the
+one trace run in the narrowest of three tiers that a bound on their partial
+sums allows: int32 below 2^31, int64 below 2^62, and Python-int (object)
+arrays above.  The step bound is (d1(d2-1) + |d2-2|)*max|U_j| +
+q*max|U_{j-1}|, the bound of <U_a, U_b>_F is n^2*max|U_a|*max|U_b|, and that
+of tr U_1 is n*max|U_1|.
 """
 
 from __future__ import annotations
@@ -114,18 +115,14 @@ def _tier(bound: int):
             return dtype
 
 
-class _UFamily(list):
-    """[U_1, ..., U_k], with maxes[j] = max|U_j| for j = 0..k (U_0 = I)."""
+def _u_matrices(g: BiregularGraph, kmax: int):
+    """Yield (U_j, max|U_j|) for j = 1..kmax, with U_j an exact integer
+    matrix: U_1 = B = XX^T - d1*I - (d2-2)*I and U_{j+1} = B*U_j - q*U_{j-1},
+    with U_0 = I entering U_2 as a diagonal -q.
 
-    def __init__(self):
-        super().__init__()
-        self.maxes = [1]
-
-
-def _u_matrices(g: BiregularGraph, kmax: int) -> list:
-    """[U_1, ..., U_kmax] as exact integer matrices: U_1 = B = XX^T - d1*I -
-    (d2-2)*I and U_{j+1} = B*U_j - q*U_{j-1}, with U_0 = I entering U_2 as a
-    diagonal -q.
+    Only U_{j-1} and U_j are held.  A yielded U_j stays valid until U_{j+2}
+    is requested: that step scales U_j by q in place, so a caller that keeps
+    the matrices must copy them.
 
     Each step multiplies the sparse B into the dense U_j.  A row of B has
     absolute sum d1(d2-1) + |d2-2| (co-degrees adding up to d1(d2-1) off the
@@ -138,24 +135,27 @@ def _u_matrices(g: BiregularGraph, kmax: int) -> list:
     """
     b = gram_shifted_sparse(g, g.d1 + g.d2 - 2)
     row, q = g.d1 * (g.d2 - 1) + abs(g.d2 - 2), g.q
-    mats = _UFamily()
+    prev, prev_max = None, 0  # U_{j-1}, or U_0 = I while j = 1
+    cur, cur_max = None, 1  # U_j
     dtype = None
     for j in range(kmax):  # U_{j+1} from U_j and U_{j-1}
-        step = _tier(row * mats.maxes[j] + q * (mats.maxes[j - 1] if j else 0))
+        step = _tier(row * cur_max + q * prev_max)
         if step is not dtype:
             dtype = step
             b_tier = b.toarray().astype(object) if dtype is object else b.astype(dtype)
         if j == 0:
-            nxt = b.toarray().astype(dtype, copy=False)
+            nxt = b_tier.copy() if dtype is object else b_tier.toarray()
         else:
-            nxt = b_tier @ mats[j - 1].astype(dtype, copy=False)
+            nxt = b_tier @ cur.astype(dtype, copy=False)
             if j == 1:
                 nxt[np.diag_indices(g.n)] -= q
             else:
-                nxt -= q * mats[j - 2].astype(dtype, copy=False)
-        mats.append(nxt)
-        mats.maxes.append(_absmax(nxt))
-    return mats
+                # q*max|U_{j-1}| is within the step bound, so this is exact
+                prev = prev.astype(dtype, copy=False)
+                prev *= q
+                nxt -= prev
+        prev, prev_max, cur, cur_max = cur, cur_max, nxt, _absmax(nxt)
+        yield cur, cur_max
 
 
 def walk_counts(g: BiregularGraph, kmax: int) -> tuple:
@@ -165,25 +165,38 @@ def walk_counts(g: BiregularGraph, kmax: int) -> tuple:
     NBW_k = t_k + (d2-2)*t_{k-1} - (d2-1)*t_{k-2},
     CNBW_k = t_k - q*t_{k-2} + cnbw_constant(k).
 
-    The recurrence runs to h = ceil(kmax/2) only.  Above h, the product
-    identity U_aU_b = sum_{i<=min(a,b)} q^i U_{a+b-2i} gives
-    t_{h+b} = <U_h, U_b>_F - sum_{i=1..b} q^i t_{h+b-2i} for b <= h.  Every
-    product runs in the tier of n^2*max|U_h|*max_b max|U_b|, and each trace
-    in the tier of n*max|U_k|.
+    The recurrence runs to ceil(kmax/2) only, holding two matrices at a time.
+    The product identity U_aU_b = sum_{i<=min(a,b)} q^i U_{a+b-2i} gives
+    each trace from the two newest: t_1 = tr U_1, and as U_j arrives
+
+    t_{2j-1} = <U_j, U_{j-1}>_F - sum_{i=1..j-1} q^i t_{2j-1-2i}  (j >= 2),
+    t_{2j}   = <U_j, U_j>_F     - sum_{i=1..j}   q^i t_{2j-2i}.
+
+    Each product <U_a, U_b> runs in the tier of n^2*max|U_a|*max|U_b|, and
+    the trace in that of n*max|U_1|.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    h = (kmax + 1) // 2
-    mats = _u_matrices(g, h)
     q = g.q
-    t = [g.n] + [int(np.trace(u, dtype=_tier(g.n * top))) for u, top in zip(mats, mats.maxes[1:])]
-    if kmax > h:
-        dtype = _tier(g.n**2 * mats.maxes[h] * max(mats.maxes[1 : kmax - h + 1]))
-        for b in range(1, kmax - h + 1):
-            # the bound also covers every entry (max_b max|U_b| >= max|U_1| >= 1),
-            # so casting a wider U_h or U_b into dtype is exact
-            dot = np.einsum("ij,ij->", mats[h - 1], mats[b - 1], dtype=dtype, casting="unsafe")
-            t.append(int(dot) - sum(q**i * t[h + b - 2 * i] for i in range(1, b + 1)))
+    t = [g.n]
+
+    def product_trace(a, b, top):
+        """t_k, k = len(t), from <U_a, U_b>_F with n^2*max|U_a|*max|U_b| = top."""
+        # no U_j is 0 (its eigenvalue at B's top eigenvalue q + 1 is positive),
+        # so top bounds every entry and the cast into its tier is exact
+        dot = np.einsum("ij,ij->", a, b, dtype=_tier(top), casting="unsafe")
+        k = len(t)
+        t.append(int(dot) - sum(q**i * t[k - 2 * i] for i in range(1, k // 2 + 1)))
+
+    prev = prev_max = None
+    for j, (u, top) in enumerate(_u_matrices(g, (kmax + 1) // 2), start=1):
+        if j == 1:
+            t.append(int(np.trace(u, dtype=_tier(g.n * top))))
+        else:
+            product_trace(u, prev, g.n**2 * top * prev_max)
+        if 2 * j <= kmax:
+            product_trace(u, u, g.n**2 * top * top)
+        prev, prev_max = u, top
     rows = list(zip(range(1, kmax + 1), t[1:], t, [0] + t[:-2]))  # (k, t_k, t_{k-1}, t_{k-2})
     nbw = [tk + (g.d2 - 2) * tk1 - (g.d2 - 1) * tk2 for _, tk, tk1, tk2 in rows]
     cnbw = [tk - q * tk2 + cnbw_constant(k, g.n, g.d1, g.d2) for k, tk, _, tk2 in rows]

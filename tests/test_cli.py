@@ -171,7 +171,10 @@ def test_nonpositive_mcmc_steps_is_an_error_for_any_method(tmp_path, capsys, met
     (["spectrum", "--density", "semicircle", "--points", "0"], "points must be >= 1"),
     (["identity", "--kmax", "0"], "kmax must be >= 1"),
     (["identity", "--kmax", "-3"], "kmax must be >= 1"),
-], ids=["budget", "bins", "points-negative", "points-zero", "identity-kmax-zero", "identity-kmax-negative"])
+    (["walks", "--r", "0"], "r must be >= 1"),
+    (["switchings", "--r", "1"], "r must be >= 2"),
+], ids=["budget", "bins", "points-negative", "points-zero", "identity-kmax-zero", "identity-kmax-negative",
+        "walks-r", "switchings-r"])
 def test_bad_counts_are_refused_before_the_graph_loads(tmp_path, capsys, argv, message):
     # the graph file does not exist, so only a check made before loading it
     # gives this message
@@ -233,6 +236,22 @@ def test_graph_file_with_out_of_range_edge(tmp_path, capsys):
 
 
 POISSON_PARAMS = {"n": 20, "m": 20, "d1": 2, "d2": 2, "r": 2, "samples": 3}
+
+
+@pytest.mark.parametrize("n,m,d1,d2", [(6, 12, 2, 1), (12, 6, 1, 2), (6, 6, 1, 1)])
+def test_poisson_with_zero_q_is_refused_before_sampling(tmp_path, capsys, monkeypatch, n, m, d1, d2):
+    # d1 = 1 or d2 = 1 makes q = 0 and every Poisson mean mu_k = 0
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled a graph")
+
+    monkeypatch.setattr(experiments, "sample_graph", no_sampling)
+    cfg = tmp_path / "q0.json"
+    cfg.write_text(json.dumps({"experiment": "poisson", "seed": 1,
+                               "params": {"n": n, "m": m, "d1": d1, "d2": d2, "r": 2, "samples": 3}}))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: (d1, d2) = ({d1}, {d2}) has q = 0, so every Poisson mean mu_k is 0\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(

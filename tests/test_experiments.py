@@ -1,12 +1,15 @@
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from bireg import experiments
 from bireg.chebyshev import basis_element, fit_expansion
@@ -17,6 +20,8 @@ from bireg.experiments import (
     globallaw_experiment,
     poisson_cycle_mean,
     poisson_experiment,
+    poisson_pmf,
+    poisson_ppf,
     run_experiment,
     sample_limit_Yf,
     tv_empirical_poisson,
@@ -61,6 +66,55 @@ def test_tv_joint_matches_the_scalar_pmf_reference(r, d1, d2):
             tv += abs(c / len(rows) - p)
             mass += p
         assert tv_empirical_product_poisson(rows, mus)[0] == float(0.5 * (tv + 1.0 - mass))
+
+
+# the means of criteria 5 and 6, (3,3) at k = 2 and 3, and the joint TV's r = 4
+CRITERION_MEANS = [poisson_cycle_mean(k, 3, 3) for k in (2, 3, 4)]
+
+
+def test_poisson_pmf_matches_scipy_stats():
+    ks = np.arange(200)
+    for mu in CRITERION_MEANS + [1e-12, 0.5, 37.25]:
+        np.testing.assert_array_max_ulp(poisson_pmf(ks, mu), stats.poisson.pmf(ks, mu), maxulp=1)
+    # the joint TV's form: one row per count vector, one column per mean
+    grid = trial_rng(21).integers(0, 30, size=(500, len(CRITERION_MEANS)))
+    np.testing.assert_array_max_ulp(poisson_pmf(grid, CRITERION_MEANS),
+                                    stats.poisson.pmf(grid, CRITERION_MEANS), maxulp=1)
+    assert poisson_pmf(ks, 0.0).tolist() == [1.0] + [0.0] * 199 == stats.poisson.pmf(ks, 0.0).tolist()
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4, 6, 10])
+def test_poisson_ppf_matches_scipy_stats(r):
+    q = 1 - 0.001 / r
+    for mu in CRITERION_MEANS + [poisson_cycle_mean(k, 4, 3) for k in (2, 3, 4)] + [1e-12, 0.5, 120.0]:
+        assert poisson_ppf(q, mu) == stats.poisson.ppf(q, mu), mu
+
+
+def test_ndtr_matches_scipy_stats_normal_cdf():
+    # fluctuation-growing's KS distance takes the normal CDF from special.ndtr
+    x = np.concatenate([trial_rng(22).normal(0, 3, size=10000), [-np.inf, -40.0, 0.0, 40.0, np.inf]])
+    assert special.ndtr(x).tolist() == stats.norm.cdf(x).tolist()
+    assert special.ndtr(np.array([-np.inf, np.inf])).tolist() == [0.0, 1.0]
+
+
+def test_no_experiment_imports_scipy_stats():
+    # scipy.stats would double the start-up time and memory of every process;
+    # the Poisson pmf and quantile and the normal CDF come from scipy.special
+    configs = [WORKER_CONFIGS["poisson"], WORKER_CONFIGS["fixed-walks"], WORKER_CONFIGS["globallaw-stub"],
+               {"experiment": "fluctuation-growing", "seed": 9,
+                "params": {"n": 60, "d1": 3, "d2": 3, "expansions": ["phi_2"], "samples": 3}}]
+    script = (
+        "import json, sys\n"
+        "from bireg.experiments import run_experiment\n"
+        f"reports = [run_experiment(c) for c in json.loads({json.dumps(configs)!r})]\n"
+        "assert 'ks_gaussian_Y0' in reports[3].distances\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_tv_two_samples_identical_is_zero():

@@ -8,6 +8,8 @@ DFS is exponential in k, which is why the library oracle works through plain
 walks and explicit polynomial coefficients instead.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,10 +95,21 @@ def tail_recursion_cnbw(g, nbw):
     return out
 
 
+def u_list(g, kmax):
+    """[U_1, ..., U_kmax] from _u_matrices, each copied when yielded, since
+    the step that makes U_{j+2} scales U_j in place; checks each yielded
+    max|U_j|."""
+    us = []
+    for u, top in _u_matrices(g, kmax):
+        assert top == max(abs(v) for v in u.ravel().tolist()), f"max|U_{len(us) + 1}|"
+        us.append(u.copy())
+    return us
+
+
 def assert_matches_reference(g, kmax):
     """Check every A(k) made from _u_matrices(g, kmax) against the reference;
     return the library's [U_1, ..., U_kmax]."""
-    us = _u_matrices(g, kmax)
+    us = u_list(g, kmax)
     mats = a_matrices(g, us)
     ref = reference_recurrence(g, kmax)
     for k in range(1, kmax + 1):
@@ -169,7 +182,7 @@ def test_cycle_budget():
 
 
 def test_nbw_matrices_k22(k22):
-    mats = a_matrices(k22, _u_matrices(k22, 3))
+    mats = a_matrices(k22, u_list(k22, 3))
     assert np.array_equal(mats[1], [[0, 2], [2, 0]])
     assert np.array_equal(mats[2], 2 * np.eye(2))
     assert np.array_equal(mats[3], mats[1])
@@ -177,7 +190,7 @@ def test_nbw_matrices_k22(k22):
 
 def test_nbw_matrices_hexagon(hexagon):
     j = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
-    mats = a_matrices(hexagon, _u_matrices(hexagon, 3))
+    mats = a_matrices(hexagon, u_list(hexagon, 3))
     assert np.array_equal(mats[1], j)
     assert np.array_equal(mats[2], j)
     assert np.array_equal(mats[3], 2 * np.eye(3))
@@ -200,7 +213,7 @@ def test_cnbw_fixtures(k22, hexagon):
 
 def test_nbw_matrix_entries_nonnegative():
     for g in random_corpus(5, 10, 10, 3, 3, seed=11):
-        mats = a_matrices(g, _u_matrices(g, 6))
+        mats = a_matrices(g, u_list(g, 6))
         for k in range(1, 7):
             assert np.all(mats[k] >= 0)
 
@@ -237,6 +250,21 @@ def test_each_recurrence_step_runs_in_its_narrowest_tier(d, kmax):
     for k in range(1, kmax + 1):
         assert us[k - 1].dtype == narrowest_tier(row * maxes[k] + g.q * maxes[k - 1]), f"U_{k}"
     assert {u.dtype for u in us} == {np.dtype(np.int32), np.dtype(np.int64), np.dtype(object)}
+
+
+def test_walk_counts_peak_does_not_grow_with_the_horizon():
+    # the recurrence holds two matrices whatever kmax is, so going from
+    # U_5 to U_10 adds no memory
+    g = sample_graph(300, 300, 3, 3, SamplerConfig(seed=7), trial_rng(7, 0))
+    peaks = []
+    for kmax in (10, 20):
+        tracemalloc.start()
+        try:
+            walk_counts(g, kmax)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], peaks
 
 
 def test_tier_limits():
