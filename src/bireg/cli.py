@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import experiments, hypergraph, spectra, switching, walks
-from .errors import BiregError
+from .errors import BiregError, MalformedInput
 from .graph import load_graph, save_graph
 from .sampler import SamplerConfig, enumerate_all, sample_graph, trial_rng
 
@@ -41,7 +41,13 @@ def _check_at_least(name, value, low):
         raise ValueError(f"{name} must be >= {low}")
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise MalformedInput(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_sample(args):
+    _check_seed(args.seed)
     config = SamplerConfig(method=args.method, mcmc_steps=args.mcmc_steps, seed=args.seed)
     g = sample_graph(args.n, args.m, args.d1, args.d2, config, trial_rng(args.seed))
     save_graph(g, args.out)
@@ -143,6 +149,7 @@ def _cmd_hypergraph(args):
     if args.action == "sample":
         if None in (args.n, args.d1, args.d2, args.out):
             raise ValueError("hypergraph sample needs --n, --d1, --d2 and --out")
+        _check_seed(args.seed)
         h = hypergraph.sample_regular_hypergraph(args.n, args.d1, args.d2, trial_rng(args.seed))
         hypergraph.save_hypergraph(h, args.out)
         print(f"wrote {args.out} (n={h.n} hyperedges={h.m} seed={args.seed})")

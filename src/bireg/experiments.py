@@ -662,6 +662,8 @@ def run_experiment(config: dict) -> ExperimentReport:
     name = config["experiment"]
     seed = config.get("seed", 0)
     check_int("config", "seed", seed)
+    # trial_rng would refuse it only in the first trial, perhaps in a worker
+    check_number("config", "seed", seed, minimum=0)
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise MalformedInput(f"config key 'params' must be a JSON object, got {params!r}")

@@ -5,6 +5,11 @@ V2 = [m]; every V1 vertex has degree d1 and every V2 vertex degree d2, which
 forces n*d1 = m*d2.  Graphs are immutable value objects stored as one sorted
 array of edge keys; the derived views (edge tuple, adjacency arrays, sparse
 biadjacency) are built from it on first use and cached.
+
+Graphs read from files or built by hand come from (i, j) pairs through the
+constructor.  The samplers and the other builders inside the package already
+hold edge keys, and hand them to ``BiregularGraph.from_keys``, which runs the
+same checks on the keys without pairing them up or lexsorting them.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ class BiregularGraph:
 
     The only stored form is ``keys``: the sorted int64 array of i*m + j, one
     per edge.  Sorting by key sorts by (i, j), so row i of the graph is the
-    slice keys[i*d1 : (i+1)*d1].
+    slice keys[i*d1 : (i+1)*d1].  ``from_keys`` builds a graph from keys.
     """
 
     n: int
@@ -53,10 +58,7 @@ class BiregularGraph:
     keys: np.ndarray
 
     def __init__(self, n, m, d1, d2, edges):
-        if min(n, m, d1, d2) < 1:
-            raise ValueError("n, m, d1, d2 must all be >= 1")
-        if n * d1 != m * d2:
-            raise BalanceViolation(f"n*d1 = {n * d1} != m*d2 = {m * d2}")
+        _check_sizes(n, m, d1, d2)
         try:
             pairs = np.asarray(edges, dtype=np.int64)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -75,13 +77,41 @@ class BiregularGraph:
         if outside.any():
             e = int(np.argmax(outside))
             raise ValueError(f"edge ({i[e]}, {j[e]}) out of range")
-        for ends, size, side, name, want in ((i, n, "V1", "d1", d1), (j, m, "V2", "d2", d2)):
-            degrees = np.bincount(ends, minlength=size)
-            bad = np.flatnonzero(degrees != want)
-            if bad.size:
-                v = bad[0]
-                raise DegreeMismatch(f"{side} vertex {v} has degree {degrees[v]} != {name}={want}")
-        keys = i * m + j
+        _check_degrees(i, j, n, m, d1, d2)
+        self._store(n, m, d1, d2, i * m + j)
+
+    @classmethod
+    def from_keys(cls, n, m, d1, d2, keys) -> "BiregularGraph":
+        """The graph whose edges have the keys i*m + j, given in any order.
+
+        Equal to the graph of the pairs ``np.divmod(keys, m)`` and raising
+        what the constructor raises for them, but checked in O(E) vector
+        operations with no lexsort: strictly increasing keys, as stub
+        matching gives them, are not sorted again, and others are sorted
+        once as a 1-D array.
+        """
+        _check_sizes(n, m, d1, d2)
+        keys = np.array(keys, dtype=np.int64)  # a private copy, made read-only below
+        if keys.ndim != 1:
+            raise MalformedEdgeList(f"keys must have shape (E,), got {keys.shape}")
+        if (keys[1:] <= keys[:-1]).any():
+            keys.sort()
+            if (keys[1:] == keys[:-1]).any():
+                raise DuplicateEdge("repeated (i, j) pair")
+        if len(keys) != n * d1:
+            raise DegreeMismatch(f"expected {n * d1} edges, got {len(keys)}")
+        # the keys are sorted now, so only the ends can be out of range
+        if keys[0] < 0 or keys[-1] >= n * m:
+            bad = keys[0] if keys[0] < 0 else keys[np.searchsorted(keys, n * m)]
+            i, j = divmod(int(bad), m)
+            raise ValueError(f"edge ({i}, {j}) out of range")
+        i, j = np.divmod(keys, m)
+        _check_degrees(i, j, n, m, d1, d2)
+        g = cls.__new__(cls)
+        g._store(n, m, d1, d2, keys)
+        return g
+
+    def _store(self, n, m, d1, d2, keys):
         keys.flags.writeable = False
         for name, value in (("n", n), ("m", m), ("d1", d1), ("d2", d2), ("keys", keys)):
             object.__setattr__(self, name, value)
@@ -112,8 +142,10 @@ class BiregularGraph:
     @cached_property
     def adjacency_right(self) -> np.ndarray:
         """(m, d2) array; row j holds the V1 neighbours of j, ascending."""
-        # a stable sort by j keeps each column's V1 vertices in key order
-        order = np.argsort(self.keys % self.m, kind="stable")
+        # a stable sort by j keeps each column's V1 vertices in key order;
+        # on int16 ids numpy's stable sort is a radix sort
+        cols = self.keys % self.m
+        order = np.argsort(cols.astype(np.int16) if self.m <= 1 << 15 else cols, kind="stable")
         right = (self.keys // self.m)[order].reshape(self.m, self.d2)
         right.flags.writeable = False
         return right
@@ -159,10 +191,27 @@ class BiregularGraph:
         return cls(n=data["n"], m=data["m"], d1=data["d1"], d2=data["d2"], edges=data["edges"])
 
 
+def _check_sizes(n, m, d1, d2):
+    if min(n, m, d1, d2) < 1:
+        raise ValueError("n, m, d1, d2 must all be >= 1")
+    if n * d1 != m * d2:
+        raise BalanceViolation(f"n*d1 = {n * d1} != m*d2 = {m * d2}")
+
+
+def _check_degrees(i, j, n, m, d1, d2):
+    """Raise DegreeMismatch naming the first vertex, V1 before V2, whose
+    degree among the edge ends (i, j), all in range, is wrong."""
+    for ends, size, side, name, want in ((i, n, "V1", "d1", d1), (j, m, "V2", "d2", d2)):
+        degrees = np.bincount(ends, minlength=size)
+        bad = np.flatnonzero(degrees != want)
+        if bad.size:
+            v = bad[0]
+            raise DegreeMismatch(f"{side} vertex {v} has degree {degrees[v]} != {name}={want}")
+
+
 def complete_bipartite(n: int, m: int) -> BiregularGraph:
     """K_{n,m}: all n*m edges present, so d1 = m and d2 = n."""
-    edges = np.column_stack(np.divmod(np.arange(n * m), m))
-    return BiregularGraph(n=n, m=m, d1=m, d2=n, edges=edges)
+    return BiregularGraph.from_keys(n, m, m, n, np.arange(n * m))
 
 
 def gram_shifted_sparse(g: BiregularGraph, shift: int | None = None) -> sparse.csr_array:

@@ -93,8 +93,8 @@ class RegularHypergraph:
 
 def to_bipartite(h: RegularHypergraph) -> BiregularGraph:
     """Incidence bipartite graph: V1 = vertices, V2 = hyperedges."""
-    edges = tuple((v, idx) for idx, e in enumerate(h.hyperedges) for v in e)
-    return BiregularGraph(n=h.n, m=h.m, d1=h.d1, d2=h.d2, edges=edges)
+    keys = [v * h.m + idx for idx, e in enumerate(h.hyperedges) for v in e]
+    return BiregularGraph.from_keys(h.n, h.m, h.d1, h.d2, keys)
 
 
 def from_bipartite(g: BiregularGraph) -> RegularHypergraph:

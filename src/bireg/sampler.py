@@ -6,7 +6,8 @@ Two methods are provided:
   of the n*d1 left stubs to the m*d2 right stubs, rejected until simple.
   Conditioned on acceptance this is exactly uniform, but the acceptance
   probability decays like exp(-(d1-1)(d2-1)/2), so it stalls for dense
-  degree pairs.
+  degree pairs.  Each attempt works on the sorted edge keys i*m + j alone,
+  and the accepted keys become the graph without a second validation sort.
 * ``switch-chain`` -- a double-edge-swap Markov chain started from a
   deterministic circulant seed graph.  Degree-exact at every step and
   approximately uniform after burn-in (a heuristic with no mixing
@@ -83,15 +84,19 @@ def sample_configuration(n, m, d1, d2, rng, max_rejections=MAX_REJECTIONS) -> Bi
     """Exactly uniform sample by stub matching with rejection of multi-edges.
 
     Stub slot s of a permutation of the V2 stubs belongs to V1 vertex s // d1,
-    so a multi-edge is two equal adjacent entries of a row-sorted (n, d1)
-    reshape, and a simple pairing is then already in key order."""
+    so adding s // d1 * m to each slot gives the attempt's edge keys.  Row i's
+    keys lie in [i*m, (i+1)*m), so one sort of the keys sorts every row, a
+    multi-edge is two equal adjacent keys, and a simple pairing is already
+    in the order the graph stores."""
     _check_params(n, m, d1, d2)
-    rows = np.repeat(np.arange(n, dtype=np.int64), d1)
+    offsets = np.repeat(np.arange(0, n * m, m, dtype=np.int64), d1)
     stubs = np.repeat(np.arange(m, dtype=np.int64), d2)
     for _ in range(max_rejections):
-        cols = np.sort(rng.permutation(stubs).reshape(n, d1), axis=1)
-        if not (cols[:, 1:] == cols[:, :-1]).any():
-            return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack((rows, cols.ravel())))
+        keys = rng.permutation(stubs)
+        keys += offsets
+        keys.sort()
+        if not (keys[1:] == keys[:-1]).any():
+            return BiregularGraph.from_keys(n, m, d1, d2, keys)
     raise RejectionBudgetExceeded(
         f"no simple matching in {max_rejections} attempts "
         f"(acceptance ~ exp(-{(d1 - 1) * (d2 - 1) / 2:.1f}))"
@@ -102,7 +107,7 @@ def seed_graph(n, m, d1, d2) -> BiregularGraph:
     """Deterministic circulant placement: edges (i, (i*d1 + t) mod m)."""
     _check_params(n, m, d1, d2)
     i, t = np.divmod(np.arange(n * d1), d1)
-    return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack((i, (i * d1 + t) % m)))
+    return BiregularGraph.from_keys(n, m, d1, d2, i * m + (i * d1 + t) % m)
 
 
 def sample_switch_chain(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGraph:
@@ -155,7 +160,7 @@ def sample_switch_chain(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGr
         block = min(PROPOSAL_BLOCK, config.mcmc_steps - done)
         run_block(block)
         done += block
-    return BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack(np.divmod(keys, m)))
+    return BiregularGraph.from_keys(n, m, d1, d2, keys)
 
 
 def sample_graph(n, m, d1, d2, config: SamplerConfig, rng) -> BiregularGraph:
@@ -181,7 +186,7 @@ def enumerate_all(n, m, d1, d2) -> list:
 
     def place(i, acc):
         if i == n:
-            out.append(BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=tuple(acc)))
+            out.append(BiregularGraph.from_keys(n, m, d1, d2, acc))
             return
         remaining = n - i
         for row in rows:
@@ -191,7 +196,7 @@ def enumerate_all(n, m, d1, d2) -> list:
                 capacity[j] -= 1
             # prune: every column must still be fillable by the remaining rows
             if all(c <= remaining - 1 for c in capacity):
-                place(i + 1, acc + [(i, j) for j in row])
+                place(i + 1, acc + [i * m + j for j in row])
             for j in row:
                 capacity[j] += 1
 

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from bireg import experiments, spectra
+from bireg import cli, experiments, spectra
 from bireg.cli import dispatch
 from bireg.errors import MalformedInput
 from bireg.graph import load_graph
@@ -162,6 +162,21 @@ def test_nonpositive_mcmc_steps_is_an_error_for_any_method(tmp_path, capsys, met
     assert captured.err == "error: mcmc_steps must be >= 1\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "12", "--m", "12", "--d1", "3", "--d2", "3"],
+    ["hypergraph", "sample", "--n", "12", "--d1", "3", "--d2", "3"],
+], ids=["sample", "hypergraph-sample"])
+def test_negative_seed_is_refused_before_sampling(tmp_path, capsys, monkeypatch, argv):
+    streams = counting(monkeypatch, cli, "trial_rng")
+    out = tmp_path / "g.json"
+    assert run([*argv, "--seed", "-1", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n"
+    assert captured.out == ""
+    assert not out.exists()
+    assert streams == []
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -382,6 +397,8 @@ GROWING_PARAMS = {"n": 200, "d1": 6, "d2": 6, "expansions": ["phi_2"], "samples"
          ["'expansions'", "non-empty"]),
         ({"experiment": "fluctuation-growing", "params": dict(GROWING_PARAMS, r_n=-1)},
          ["'r_n'", ">= 0"]),
+        ({"experiment": "poisson", "seed": -1, "params": POISSON_PARAMS},
+         ["config key 'seed' must be >= 0, got -1"]),
     ],
 )
 def test_bad_experiment_params_are_refused_before_sampling(tmp_path, capsys, monkeypatch, config, names):

@@ -13,6 +13,7 @@ from scipy import special, stats
 
 from bireg import experiments
 from bireg.chebyshev import basis_element, fit_expansion
+from bireg.errors import MalformedInput
 from bireg.experiments import (
     cycle_count_vector,
     fluctuation_experiment_fixed,
@@ -295,6 +296,16 @@ def test_run_experiment_config_roundtrip():
     }
     rep2 = run_experiment(config2)
     assert rep2.name == "fluctuation-fixed"
+
+
+def test_negative_seed_is_refused_before_the_first_trial(monkeypatch):
+    # with two workers the first trial_rng call would run in a forked child
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "trial_rng", lambda *args: pytest.fail("drew a trial stream"))
+    config = {"experiment": "poisson", "seed": -1,
+              "params": {"n": 40, "m": 40, "d1": 2, "d2": 2, "r": 2, "samples": 4}}
+    with pytest.raises(MalformedInput, match=r"^config key 'seed' must be >= 0, got -1$"):
+        run_experiment(config)
 
 
 @pytest.mark.parametrize(

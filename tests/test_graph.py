@@ -19,7 +19,7 @@ from bireg.graph import (
     save_graph,
     scaled_gram,
 )
-from bireg.sampler import seed_graph
+from bireg.sampler import sample_configuration, seed_graph, trial_rng
 from conftest import HEX_EDGES, random_corpus
 
 
@@ -83,6 +83,70 @@ def test_views_agree_with_the_edge_list():
         assert g.adjacency_right.tolist() == [sorted(a) for a in right]
         assert g.edge_set == frozenset(g.edges)
         assert set(zip(*g.biadjacency.nonzero())) == g.edge_set
+
+
+def _outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# keys on the hexagon's shape (3, 3, 2, 2), each breaking one constructor
+# invariant; their edge set is np.divmod(keys, 3)
+BROKEN_KEYS = {
+    "unsorted-repeat": [4, 0, 2, 5, 0, 8],
+    "repeat": [0, 0, 4, 5, 6, 8],
+    "count": [0, 2, 4, 5, 6],
+    "negative": [-1, 0, 4, 5, 6, 8],
+    "beyond-n-m": [0, 2, 4, 5, 6, 10],
+    "row-degree": [0, 1, 2, 3, 7, 8],
+    "column-degree": [0, 1, 3, 4, 6, 8],
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_KEYS)
+def test_from_keys_raises_what_the_constructor_raises(case):
+    keys = BROKEN_KEYS[case]
+    pairs = np.column_stack(np.divmod(np.array(keys), 3))
+    expected = _outcome(lambda: BiregularGraph(n=3, m=3, d1=2, d2=2, edges=pairs))
+    assert isinstance(expected, tuple), "the constructor accepted a broken edge set"
+    assert _outcome(lambda: BiregularGraph.from_keys(3, 3, 2, 2, keys)) == expected
+
+
+@pytest.mark.parametrize(
+    "n, m, d1, d2", [(30, 30, 3, 3), (60, 40, 2, 3), (40, 60, 3, 2), (5, 5, 1, 1), (6, 8, 4, 3), (2, 2, 2, 2)]
+)
+def test_from_keys_builds_the_constructor_graph(n, m, d1, d2):
+    shuffle = np.random.default_rng(n * m).permutation
+    for g in random_corpus(4, n, m, d1, d2, seed=8):
+        ref = BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges=np.column_stack(np.divmod(g.keys, m)))
+        for keys in (g.keys, shuffle(g.keys), g.keys.tolist()):
+            h = BiregularGraph.from_keys(n, m, d1, d2, keys)
+            assert h == ref and h.keys.dtype == np.int64
+            assert h.edges == ref.edges
+
+
+def test_from_keys_stores_a_read_only_copy():
+    keys = np.array([0, 2, 4, 5, 6, 7])
+    g = BiregularGraph.from_keys(3, 3, 2, 2, keys)
+    assert not g.keys.flags.writeable
+    with pytest.raises(ValueError):
+        g.keys[0] = 1
+    keys[0] = 1
+    assert g.keys[0] == 0 and keys.flags.writeable
+
+
+@pytest.mark.parametrize("n, m, d1", [(2, 1 << 15, 1 << 14), (1, (1 << 15) + 1, (1 << 15) + 1),
+                                      (3, (1 << 15) + 1, 10923)])
+def test_adjacency_right_on_both_sides_of_the_int16_cut(n, m, d1):
+    # d2 = 1: each column has one V1 neighbour, so a column id that wrapped
+    # in an int16 cast would move its row to the wrong place
+    g = sample_configuration(n, m, d1, 1, trial_rng(3))
+    right = [[] for _ in range(m)]
+    for i, j in g.edges:
+        right[j].append(i)
+    assert g.adjacency_right.tolist() == right
 
 
 def _gram_from_edges(g):
