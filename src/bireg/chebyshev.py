@@ -33,12 +33,13 @@ import numpy as np
 
 from .errors import (
     MalformedInput,
-    MissingConfigKey,
     NonDecayingCoefficients,
     check_config_keys,
     check_int,
     check_number,
+    check_required_keys,
 )
+from .graph import v2_size
 
 DEFAULT_TOL = 1e-12
 MAX_QUAD_NODES = 1 << 17
@@ -225,9 +226,7 @@ class ChebExpansion:
         """The expansion that to_dict wrote, or a config object with the same
         keys; basis and coeffs are required."""
         check_config_keys("expansion", data, {"basis", "coeffs", "d1", "d2", "k1", "decay_rate", "coeff_bound"})
-        missing = [key for key in ("basis", "coeffs") if key not in data]
-        if missing:
-            raise MissingConfigKey(f"missing key(s) {', '.join(map(repr, missing))} in expansion")
+        check_required_keys("expansion", data, ("basis", "coeffs"))
         coeffs = data["coeffs"]
         if not isinstance(coeffs, (list, tuple)) or not coeffs:
             raise MalformedInput(f"expansion key 'coeffs' must be a non-empty list, got {coeffs!r}")
@@ -365,9 +364,7 @@ def cnbw_constant(k: int, n: int, d1: int, d2: int) -> int:
     (m - n)(1 - d2)^k; and 1 - beta z + q z^2 = (1 - alpha z)(1 - alpha' z)
     gives alpha^k + alpha'^k = q^{k/2} Phi_k(y).
     """
-    if (n * d1) % d2:
-        raise ValueError(f"m = n*d1/d2 is not an integer for n={n}, d1={d1}, d2={d2}")
-    m = n * d1 // d2
+    m = v2_size(n, d1, d2)
     return n * d1 - n - m + (m - n) * (1 - d2) ** k
 
 

@@ -7,8 +7,8 @@ class BiregError(Exception):
     """Base class for all package-specific errors."""
 
 
-class BalanceViolation(BiregError):
-    """n*d1 != m*d2, so no biregular graph with these parameters exists."""
+class BalanceViolation(BiregError, ValueError):
+    """n*d1 != m*d2, or d2 does not divide n*d1: no such biregular graph exists."""
 
 
 class DegreeMismatch(BiregError):
@@ -86,6 +86,15 @@ def check_int(where: str, key: str, value, allow_none: bool = False) -> None:
         raise MalformedInput(f"{where} key {key!r} must be {kind}, got {value!r}")
 
 
+def check_int_lists(where: str, key: str, value, items: str) -> None:
+    """Raise MalformedInput naming key unless value is a list of lists of integers that are not bools."""
+    if not isinstance(value, list) or not all(isinstance(e, list) for e in value):
+        raise MalformedInput(f"{where} key {key!r} must be a list of {items}")
+    for idx, e in enumerate(value):
+        for v in e:
+            check_int(where, f"{key}[{idx}]", v)
+
+
 def check_number(where: str, key: str, value, minimum=None) -> None:
     """Raise MalformedInput naming key unless value is a real number that is
     not a bool, and at least minimum where one is given."""
@@ -103,3 +112,10 @@ def check_config_keys(where: str, data: dict, allowed: set) -> None:
             f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
             f"allowed: {', '.join(sorted(allowed)) or 'none'}"
         )
+
+
+def check_required_keys(where: str, data: dict, required) -> None:
+    """Raise MissingConfigKey naming every key of required absent from data."""
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise MissingConfigKey(f"missing key(s) {', '.join(map(repr, missing))} in {where}")

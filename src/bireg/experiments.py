@@ -36,8 +36,9 @@ from .errors import (
     check_config_keys,
     check_int,
     check_number,
+    check_required_keys,
 )
-from .graph import BiregularGraph
+from .graph import BiregularGraph, v2_size
 from .sampler import SamplerConfig, sample_graph, trial_rng
 
 
@@ -272,12 +273,6 @@ class ExperimentReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _infer_m(n, d1, d2):
-    if (n * d1) % d2:
-        raise ValueError(f"n*d1 = {n * d1} not divisible by d2 = {d2}")
-    return n * d1 // d2
-
-
 def _trial_graphs(n, m, d1, d2, method, seed, trials):
     """The experiments' graphs: trial t samples on trial_rng(seed, t).
 
@@ -463,7 +458,7 @@ def fluctuation_experiment_fixed(
     """
     if (d1, d2) == (2, 2):
         raise ValueError("(d1, d2) = (2, 2) has no nondegenerate fixed-degree limit")
-    m = _infer_m(n, d1, d2)
+    m = v2_size(n, d1, d2)
     exp = expansion.to_gamma(d1, d2)
     deg = exp.degree  # a constant-only expansion yields Y identically 0
     if k_max is None:
@@ -526,7 +521,7 @@ def fluctuation_experiment_growing(
     keep_samples: bool = True,
 ) -> ExperimentReport:
     """Gaussian check for growing degrees: means, variances, covariances, KS."""
-    m = _infer_m(n, d1, d2)
+    m = v2_size(n, d1, d2)
     if r_n is not None and r_n < 0:
         raise MalformedInput(f"fluctuation-growing params key 'r_n' must be >= 0, got {r_n}")
     exps = [e.to_phi() for e in expansions]
@@ -591,7 +586,7 @@ def globallaw_experiment(
     method: str = "auto",
 ) -> ExperimentReport:
     """Bulk Kolmogorov-Smirnov distance to a reference density, per sample."""
-    m = _infer_m(n, d1, d2)
+    m = v2_size(n, d1, d2)
     params = {} if params is None else params
     if not isinstance(params, dict):
         raise MalformedInput(f"globallaw params key 'params' must be a JSON object, got {params!r}")
@@ -674,12 +669,8 @@ def run_experiment(config: dict) -> ExperimentReport:
     # the seed is a top-level config key, not a parameter
     signature = inspect.signature(fn).parameters
     check_config_keys(f"{name} params", params, set(signature) - {"seed"})
-    missing = [
-        key for key, p in signature.items()
-        if p.default is p.empty and key != "seed" and key not in params
-    ]
-    if missing:
-        raise MissingConfigKey(f"missing key(s) {', '.join(map(repr, missing))} in {name} params")
+    required = [key for key, p in signature.items() if p.default is p.empty and key != "seed"]
+    check_required_keys(f"{name} params", params, required)
     for key, value in params.items():
         # annotations are strings under `from __future__ import annotations`
         if signature[key].annotation in ("int", "int | None"):

@@ -6,10 +6,11 @@ forces n*d1 = m*d2.  Graphs are immutable value objects stored as one sorted
 array of edge keys; the derived views (edge tuple, adjacency arrays, sparse
 biadjacency) are built from it on first use and cached.
 
-Graphs read from files or built by hand come from (i, j) pairs through the
-constructor.  The samplers and the other builders inside the package already
-hold edge keys, and hand them to ``BiregularGraph.from_keys``, which runs the
-same checks on the keys without pairing them up or lexsorting them.
+This module alone decides what a valid graph is: ``check_sizes`` refuses a
+shape no simple graph has, ``v2_size`` gives m = n*d1/d2 or refuses it, and
+one validator checks the edge keys i*m + j.  The constructor turns (i, j)
+pairs, read from files or built by hand, into keys; the samplers and the
+other builders inside the package hand theirs to ``BiregularGraph.from_keys``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import (
     MalformedEdgeList,
     MalformedInput,
     check_int,
+    check_int_lists,
+    check_required_keys,
 )
 
 
@@ -48,7 +51,8 @@ class BiregularGraph:
 
     The only stored form is ``keys``: the sorted int64 array of i*m + j, one
     per edge.  Sorting by key sorts by (i, j), so row i of the graph is the
-    slice keys[i*d1 : (i+1)*d1].  ``from_keys`` builds a graph from keys.
+    slice keys[i*d1 : (i+1)*d1].  The constructor refuses a pair whose key
+    would be another pair's, and checks the rest on the keys, as ``from_keys`` does.
     """
 
     n: int
@@ -58,7 +62,7 @@ class BiregularGraph:
     keys: np.ndarray
 
     def __init__(self, n, m, d1, d2, edges):
-        _check_sizes(n, m, d1, d2)
+        check_sizes(n, m, d1, d2)
         try:
             pairs = np.asarray(edges, dtype=np.int64)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -67,30 +71,30 @@ class BiregularGraph:
             pairs = np.empty((0, 2), dtype=np.int64)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise MalformedEdgeList(f"edges must have shape (E, 2), got {pairs.shape}")
-        order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-        i, j = pairs[order, 0], pairs[order, 1]
-        if np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1])):
-            raise DuplicateEdge("repeated (i, j) pair")
-        if len(i) != n * d1:
-            raise DegreeMismatch(f"expected {n * d1} edges, got {len(i)}")
-        outside = (i < 0) | (i >= n) | (j < 0) | (j >= m)
+        i, j = pairs.T
+        # a column outside [0, m), or a row for which i*m overflows, aliases another key
+        limit = np.iinfo(np.int64).max // m - 1
+        outside = (j < 0) | (j >= m) | (i < -limit) | (i > limit)
         if outside.any():
             e = int(np.argmax(outside))
             raise ValueError(f"edge ({i[e]}, {j[e]}) out of range")
-        _check_degrees(i, j, n, m, d1, d2)
-        self._store(n, m, d1, d2, i * m + j)
+        self._set_keys(n, m, d1, d2, i * m + j)
 
     @classmethod
     def from_keys(cls, n, m, d1, d2, keys) -> "BiregularGraph":
         """The graph whose edges have the keys i*m + j, given in any order.
 
         Equal to the graph of the pairs ``np.divmod(keys, m)`` and raising
-        what the constructor raises for them, but checked in O(E) vector
-        operations with no lexsort: strictly increasing keys, as stub
-        matching gives them, are not sorted again, and others are sorted
-        once as a 1-D array.
+        what the constructor raises for them, but with no pairs to read.
         """
-        _check_sizes(n, m, d1, d2)
+        check_sizes(n, m, d1, d2)
+        g = cls.__new__(cls)
+        g._set_keys(n, m, d1, d2, keys)
+        return g
+
+    def _set_keys(self, n, m, d1, d2, keys):
+        """Check the keys in O(E) vector operations and store them.  Strictly
+        increasing keys, as stub matching gives them, are not sorted again."""
         keys = np.array(keys, dtype=np.int64)  # a private copy, made read-only below
         if keys.ndim != 1:
             raise MalformedEdgeList(f"keys must have shape (E,), got {keys.shape}")
@@ -107,11 +111,6 @@ class BiregularGraph:
             raise ValueError(f"edge ({i}, {j}) out of range")
         i, j = np.divmod(keys, m)
         _check_degrees(i, j, n, m, d1, d2)
-        g = cls.__new__(cls)
-        g._store(n, m, d1, d2, keys)
-        return g
-
-    def _store(self, n, m, d1, d2, keys):
         keys.flags.writeable = False
         for name, value in (("n", n), ("m", m), ("d1", d1), ("d2", d2), ("keys", keys)):
             object.__setattr__(self, name, value)
@@ -186,16 +185,28 @@ class BiregularGraph:
     def from_dict(cls, data: dict) -> "BiregularGraph":
         if not isinstance(data, dict):
             raise MalformedInput(f"a graph file must hold a JSON object, got {type(data).__name__}")
+        check_required_keys("graph file", data, ("n", "m", "d1", "d2", "edges"))
         for key in ("n", "m", "d1", "d2"):
             check_int("graph file", key, data[key])
+        check_int_lists("graph file", "edges", data["edges"], "[i, j] pairs")
         return cls(n=data["n"], m=data["m"], d1=data["d1"], d2=data["d2"], edges=data["edges"])
 
 
-def _check_sizes(n, m, d1, d2):
+def check_sizes(n, m, d1, d2):
+    """Raise ValueError, or BalanceViolation, unless a simple (n, m, d1, d2)-biregular graph exists."""
     if min(n, m, d1, d2) < 1:
         raise ValueError("n, m, d1, d2 must all be >= 1")
     if n * d1 != m * d2:
         raise BalanceViolation(f"n*d1 = {n * d1} != m*d2 = {m * d2}")
+    if d1 > m or d2 > n:
+        raise ValueError("no simple graph exists: need d1 <= m and d2 <= n")
+
+
+def v2_size(n, d1, d2) -> int:
+    """m = n*d1/d2, the size of V2; BalanceViolation unless d2 divides n*d1."""
+    if n * d1 % d2:
+        raise BalanceViolation(f"n*d1 = {n * d1} is not divisible by d2 = {d2}")
+    return n * d1 // d2
 
 
 def _check_degrees(i, j, n, m, d1, d2):

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import walks
 from .errors import DegreeMismatch, DuplicateHyperedge, MalformedInput, RejectionBudgetExceeded, check_int
-from .graph import BiregularGraph, gram_shifted
+from .errors import check_int_lists, check_required_keys
+from .graph import BiregularGraph, _check_degrees, gram_shifted, v2_size
 from .sampler import SamplerConfig, sample_graph
 
 
@@ -45,13 +46,9 @@ class RegularHypergraph:
                 raise ValueError(f"hyperedge {e} out of range")
         if len(set(hes)) != len(hes):
             raise DuplicateHyperedge("two hyperedges share the same vertex set")
-        deg = [0] * self.n
-        for e in hes:
-            for v in e:
-                deg[v] += 1
-        bad = next((v for v in range(self.n) if deg[v] != self.d1), None)
-        if bad is not None:
-            raise DegreeMismatch(f"vertex {bad} has degree {deg[bad]} != d1={self.d1}")
+        # every hyperedge has d2 vertices, so only a V1 degree can be wrong
+        ends = np.array(hes, dtype=np.int64).reshape(-1)
+        _check_degrees(ends, np.repeat(np.arange(len(hes)), self.d2), self.n, len(hes), self.d1, self.d2)
 
     @property
     def m(self) -> int:
@@ -80,15 +77,11 @@ class RegularHypergraph:
     def from_dict(cls, data: dict) -> "RegularHypergraph":
         if not isinstance(data, dict):
             raise MalformedInput(f"a hypergraph file must hold a JSON object, got {type(data).__name__}")
+        check_required_keys("hypergraph file", data, ("n", "d1", "d2", "hyperedges"))
         for key in ("n", "d1", "d2"):
             check_int("hypergraph file", key, data[key])
-        hes = data["hyperedges"]
-        if not isinstance(hes, list) or not all(isinstance(e, list) for e in hes):
-            raise MalformedInput("hypergraph file key 'hyperedges' must be a list of vertex lists")
-        for idx, e in enumerate(hes):
-            for v in e:
-                check_int("hypergraph file", f"hyperedges[{idx}]", v)
-        return cls(n=data["n"], d1=data["d1"], d2=data["d2"], hyperedges=tuple(tuple(e) for e in hes))
+        check_int_lists("hypergraph file", "hyperedges", data["hyperedges"], "vertex lists")
+        return cls(n=data["n"], d1=data["d1"], d2=data["d2"], hyperedges=tuple(map(tuple, data["hyperedges"])))
 
 
 def to_bipartite(h: RegularHypergraph) -> BiregularGraph:
@@ -128,9 +121,7 @@ def sample_regular_hypergraph(
     repeated hyperedges; the acceptance fraction approaches 1 like
     1 - O(d1^2/(n d2^2)).
     """
-    if n * d1 % d2:
-        raise DegreeMismatch(f"n*d1 = {n * d1} is not divisible by d2 = {d2}")
-    m = n * d1 // d2
+    m = v2_size(n, d1, d2)
     config = config or SamplerConfig()
     for _ in range(max_rejections):
         g = sample_graph(n, m, d1, d2, config, rng)

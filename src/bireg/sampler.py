@@ -7,7 +7,7 @@ Two methods are provided:
   Conditioned on acceptance this is exactly uniform, but the acceptance
   probability decays like exp(-(d1-1)(d2-1)/2), so it stalls for dense
   degree pairs.  Each attempt works on the sorted edge keys i*m + j alone,
-  and the accepted keys become the graph without a second validation sort.
+  and the accepted keys go to the graph's one validator, ``from_keys``.
 * ``switch-chain`` -- a double-edge-swap Markov chain started from a
   deterministic circulant seed graph.  Degree-exact at every step and
   approximately uniform after burn-in (a heuristic with no mixing
@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BalanceViolation, RejectionBudgetExceeded, TooLarge
-from .graph import BiregularGraph
+from .errors import RejectionBudgetExceeded, TooLarge
+from .graph import BiregularGraph, check_sizes
 
 ENUMERATION_LIMIT = 25  # max n*m for enumerate_all
 PROPOSAL_BLOCK = 1 << 14
@@ -71,15 +71,6 @@ class SamplerConfig:
         return "exact-rejection"
 
 
-def _check_params(n, m, d1, d2):
-    if min(n, m, d1, d2) < 1:
-        raise ValueError("n, m, d1, d2 must all be >= 1")
-    if n * d1 != m * d2:
-        raise BalanceViolation(f"n*d1 = {n * d1} != m*d2 = {m * d2}")
-    if d1 > m or d2 > n:
-        raise ValueError("no simple graph exists: need d1 <= m and d2 <= n")
-
-
 def sample_configuration(n, m, d1, d2, rng, max_rejections=MAX_REJECTIONS) -> BiregularGraph:
     """Exactly uniform sample by stub matching with rejection of multi-edges.
 
@@ -88,7 +79,7 @@ def sample_configuration(n, m, d1, d2, rng, max_rejections=MAX_REJECTIONS) -> Bi
     keys lie in [i*m, (i+1)*m), so one sort of the keys sorts every row, a
     multi-edge is two equal adjacent keys, and a simple pairing is already
     in the order the graph stores."""
-    _check_params(n, m, d1, d2)
+    check_sizes(n, m, d1, d2)
     offsets = np.repeat(np.arange(0, n * m, m, dtype=np.int64), d1)
     stubs = np.repeat(np.arange(m, dtype=np.int64), d2)
     for _ in range(max_rejections):
@@ -105,7 +96,7 @@ def sample_configuration(n, m, d1, d2, rng, max_rejections=MAX_REJECTIONS) -> Bi
 
 def seed_graph(n, m, d1, d2) -> BiregularGraph:
     """Deterministic circulant placement: edges (i, (i*d1 + t) mod m)."""
-    _check_params(n, m, d1, d2)
+    check_sizes(n, m, d1, d2)
     i, t = np.divmod(np.arange(n * d1), d1)
     return BiregularGraph.from_keys(n, m, d1, d2, i * m + (i * d1 + t) % m)
 
@@ -177,7 +168,7 @@ def enumerate_all(n, m, d1, d2) -> list:
     Brute force over 0/1 matrices with the given margins; guarded by
     n*m <= ENUMERATION_LIMIT.
     """
-    _check_params(n, m, d1, d2)
+    check_sizes(n, m, d1, d2)
     if n * m > ENUMERATION_LIMIT:
         raise TooLarge(f"n*m = {n * m} > {ENUMERATION_LIMIT}")
     rows = list(itertools.combinations(range(m), d1))

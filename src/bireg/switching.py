@@ -258,7 +258,8 @@ def valid_switchings(
     switchings deleting it; direction="backward" takes any cycle of the
     complete bipartite host and enumerates switchings creating it.
     Switchings performing the same rewiring are identified (this subsumes
-    relabelings of alpha under rotation and inversion).
+    relabelings of alpha under rotation and inversion), and each distinct
+    rewiring is checked once.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -273,15 +274,15 @@ def valid_switchings(
     forward = direction == "forward"
     candidates = _forward_candidates if forward else _backward_candidates
     expect = set() if forward else {alpha.vertices}
-    seen = {}
+    # rewiring -> its first spec, or None if invalid; all candidates have lists
+    # of the same lengths, so the two edge sets alone decide validity
+    verdicts = {}
     for e, ep, deleted, created in candidates(g, alpha, cycle_edges, adj, budget_state):
-        if _breach(g, deleted, created) is not None:
-            continue
-        if _creations_ok(adj, deleted, created, r, expect, budget_state):
-            key = (frozenset(deleted), frozenset(created))
-            if key not in seen:
-                seen[key] = SwitchingSpec(alpha=alpha, e=e, e_prime=ep)
-    return list(seen.values())
+        key = (frozenset(deleted), frozenset(created))
+        if key not in verdicts:
+            ok = _breach(g, deleted, created) is None and _creations_ok(adj, deleted, created, r, expect, budget_state)
+            verdicts[key] = SwitchingSpec(alpha=alpha, e=e, e_prime=ep) if ok else None
+    return [spec for spec in verdicts.values() if spec is not None]
 
 
 def count_valid_switchings(

@@ -297,6 +297,13 @@ def test_badly_typed_config_value_is_a_typed_error(tmp_path, capsys, config, key
         (["walks"], {"n": [3], "m": 3, "d1": 2, "d2": 2, "edges": []}, "'n'"),
         (["walks"], [1, 2, 3], "JSON object"),
         (["hypergraph", "check"], {"n": 6, "d1": 2, "d2": 3, "hyperedges": 5}, "'hyperedges'"),
+        # ids that numpy would read as integers
+        (["walks"], {"n": 2, "m": 2, "d1": 2, "d2": 2, "edges": [[0, 0], [0, 1.9], [1, 0], [1, 1]]}, "'edges[1]'"),
+        (["walks"], {"n": 2, "m": 2, "d1": 2, "d2": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, True]]}, "'edges[3]'"),
+        (["walks"], {"n": 2, "m": 2, "d1": 2, "d2": 2, "edges": [[0, "0"], [0, 1], [1, 0], [1, 1]]}, "'edges[0]'"),
+        (["walks"], {"n": 2, "m": 2, "d1": 2, "d2": 2, "edges": 5}, "'edges'"),
+        (["walks"], {"n": 2, "d1": 2, "d2": 2}, "missing key(s) 'm', 'edges' in graph file"),
+        (["hypergraph", "check"], {"n": 6, "d1": 2}, "missing key(s) 'd2', 'hyperedges' in hypergraph file"),
     ],
 )
 def test_badly_typed_graph_file_is_a_typed_error(tmp_path, capsys, command, data, key):

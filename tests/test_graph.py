@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bireg.chebyshev import cnbw_constant
 from bireg.errors import (
     BalanceViolation,
     DegenerateScaling,
@@ -19,6 +20,8 @@ from bireg.graph import (
     save_graph,
     scaled_gram,
 )
+from bireg.experiments import run_experiment
+from bireg.hypergraph import sample_regular_hypergraph
 from bireg.sampler import sample_configuration, seed_graph, trial_rng
 from conftest import HEX_EDGES, random_corpus
 
@@ -92,26 +95,47 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
-# keys on the hexagon's shape (3, 3, 2, 2), each breaking one constructor
-# invariant; their edge set is np.divmod(keys, 3)
+def _pairs(keys):
+    return np.column_stack(np.divmod(np.array(keys), 3)).tolist()
+
+
+# edge sets on the hexagon's shape (3, 3, 2, 2), each breaking one constructor
+# invariant, with the error they raise; most are given by their keys i*3 + j
+OUT_OF_INT64_ROW = (2**64 + 2) // 3  # times 3 it wraps to 2 in int64
 BROKEN_KEYS = {
-    "unsorted-repeat": [4, 0, 2, 5, 0, 8],
-    "repeat": [0, 0, 4, 5, 6, 8],
-    "count": [0, 2, 4, 5, 6],
-    "negative": [-1, 0, 4, 5, 6, 8],
-    "beyond-n-m": [0, 2, 4, 5, 6, 10],
-    "row-degree": [0, 1, 2, 3, 7, 8],
-    "column-degree": [0, 1, 3, 4, 6, 8],
+    "unsorted-repeat": (_pairs([4, 0, 2, 5, 0, 8]), (DuplicateEdge, "repeated (i, j) pair")),
+    "repeat": (_pairs([0, 0, 4, 5, 6, 8]), (DuplicateEdge, "repeated (i, j) pair")),
+    "count": (_pairs([0, 2, 4, 5, 6]), (DegreeMismatch, "expected 6 edges, got 5")),
+    "negative": (_pairs([-1, 0, 4, 5, 6, 8]), (ValueError, "edge (-1, 2) out of range")),
+    "beyond-n-m": (_pairs([0, 2, 4, 5, 6, 10]), (ValueError, "edge (3, 1) out of range")),
+    "row-degree": (_pairs([0, 1, 2, 3, 7, 8]), (DegreeMismatch, "V1 vertex 0 has degree 3 != d1=2")),
+    "column-degree": (_pairs([0, 1, 3, 4, 6, 8]), (DegreeMismatch, "V2 vertex 0 has degree 3 != d2=2")),
+    # the hexagon with one pair swapped for one outside the shape that has the
+    # same int64 key i*3 + j, so only the constructor sees the fault
+    "column-m": ([(0, 0), (0, 3), (1, 1), (2, 1), (2, 2), (0, 2)], (ValueError, "edge (0, 3) out of range")),
+    "column-negative": ([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (1, -1)], (ValueError, "edge (1, -1) out of range")),
+    "row-overflow": ([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (OUT_OF_INT64_ROW, 0)],
+                     (ValueError, f"edge ({OUT_OF_INT64_ROW}, 0) out of range")),
 }
 
 
 @pytest.mark.parametrize("case", BROKEN_KEYS)
 def test_from_keys_raises_what_the_constructor_raises(case):
-    keys = BROKEN_KEYS[case]
-    pairs = np.column_stack(np.divmod(np.array(keys), 3))
-    expected = _outcome(lambda: BiregularGraph(n=3, m=3, d1=2, d2=2, edges=pairs))
-    assert isinstance(expected, tuple), "the constructor accepted a broken edge set"
-    assert _outcome(lambda: BiregularGraph.from_keys(3, 3, 2, 2, keys)) == expected
+    pairs, expected = BROKEN_KEYS[case]
+    assert _outcome(lambda: BiregularGraph(n=3, m=3, d1=2, d2=2, edges=pairs)) == expected
+    i, j = np.array(pairs).T
+    keys = i * 3 + j
+    if np.array_equal(np.column_stack(np.divmod(keys, 3)), pairs):
+        assert _outcome(lambda: BiregularGraph.from_keys(3, 3, 2, 2, keys)) == expected
+    else:  # the keys are the hexagon's
+        assert BiregularGraph.from_keys(3, 3, 2, 2, keys).edge_set == frozenset(HEX_EDGES)
+
+
+@pytest.mark.parametrize("n, m, d1, d2", [(2, 1, 2, 4), (1, 2, 4, 2)])
+def test_both_constructors_refuse_an_impossible_shape_before_the_edges(n, m, d1, d2):
+    expected = (ValueError, "no simple graph exists: need d1 <= m and d2 <= n")
+    assert _outcome(lambda: BiregularGraph(n=n, m=m, d1=d1, d2=d2, edges="not pairs")) == expected
+    assert _outcome(lambda: BiregularGraph.from_keys(n, m, d1, d2, "not keys")) == expected
 
 
 @pytest.mark.parametrize(
@@ -213,6 +237,22 @@ def test_degenerate_scaling():
     g = BiregularGraph(n=2, m=2, d1=1, d2=1, edges=[(0, 0), (1, 1)])
     with pytest.raises(DegenerateScaling):
         scaled_gram(g)
+
+
+# (n, d1, d2) = (7, 3, 2): d2 does not divide n*d1, so V2 has no integer size
+V2_SIZE_SITES = {
+    "experiment": lambda: run_experiment(
+        {"experiment": "globallaw", "params": {"n": 7, "d1": 3, "d2": 2, "model": "semicircle", "samples": 1}}
+    ),
+    "hypergraph": lambda: sample_regular_hypergraph(7, 3, 2, trial_rng(0)),
+    "cnbw-constant": lambda: cnbw_constant(1, 7, 3, 2),
+}
+
+
+@pytest.mark.parametrize("site", V2_SIZE_SITES)
+def test_an_indivisible_v2_size_is_one_balance_violation(site):
+    assert _outcome(V2_SIZE_SITES[site]) == (BalanceViolation, "n*d1 = 21 is not divisible by d2 = 2")
+    assert issubclass(BalanceViolation, ValueError)
 
 
 def test_graph_file_roundtrip(tmp_path):

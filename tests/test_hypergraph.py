@@ -31,6 +31,9 @@ def test_validation():
     assert h.m == 4
     with pytest.raises(DegreeMismatch):
         RegularHypergraph(n=6, d1=2, d2=3, hyperedges=FIG_HYPEREDGES[:3])
+    # four 3-sets as in the figure, but vertex 0 is in three and vertex 2 in one
+    with pytest.raises(DegreeMismatch, match=r"^V1 vertex 0 has degree 3 != d1=2$"):
+        RegularHypergraph(n=6, d1=2, d2=3, hyperedges=FIG_HYPEREDGES[:3] + ((0, 4, 5),))
     with pytest.raises(DuplicateHyperedge):
         RegularHypergraph(n=3, d1=2, d2=3, hyperedges=((0, 1, 2), (2, 1, 0)))
 
