@@ -235,7 +235,8 @@ class ChebExpansion:
         for key in ("d1", "d2"):
             check_int("expansion", key, data.get(key), allow_none=True)
         for key in ("k1", "decay_rate", "coeff_bound"):
-            if key in data:
+            # to_dict writes decay_rate Infinity for an exact expansion
+            if key in data and not (key == "decay_rate" and data[key] == math.inf):
                 check_number("expansion", key, data[key])
         return cls(
             basis=data["basis"],
@@ -368,12 +369,12 @@ def cnbw_constant(k: int, n: int, d1: int, d2: int) -> int:
     return n * d1 - n - m + (m - n) * (1 - d2) ** k
 
 
-def default_r_n(n: int, d1: int, d2: int, beta: float = 0.4) -> int:
-    """floor(beta * log n / log q); the eigenvalue-statistic cutoff scale."""
+def default_r_n(n: int, d1: int, d2: int) -> int:
+    """floor(0.4 log n / log q); the eigenvalue-statistic cutoff scale."""
     q = (d1 - 1) * (d2 - 1)
     if q < 2:
         raise ValueError("need (d1-1)(d2-1) >= 2")
-    return int(beta * math.log(n) / math.log(q))
+    return int(0.4 * math.log(n) / math.log(q))
 
 
 def walk_sum(coeffs, counts, q: int, start=0):

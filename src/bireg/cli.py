@@ -18,7 +18,7 @@ import numpy as np
 from . import experiments, hypergraph, spectra, switching, walks
 from .errors import BiregError, MalformedInput
 from .graph import load_graph, save_graph
-from .sampler import SamplerConfig, enumerate_all, sample_graph, trial_rng
+from .sampler import METHODS, SamplerConfig, enumerate_all, sample_graph, trial_rng
 
 
 def _table(lines, header):
@@ -48,7 +48,7 @@ def _check_seed(seed):
 
 def _cmd_sample(args):
     _check_seed(args.seed)
-    config = SamplerConfig(method=args.method, mcmc_steps=args.mcmc_steps, seed=args.seed)
+    config = SamplerConfig(method=args.method, mcmc_steps=args.mcmc_steps)
     g = sample_graph(args.n, args.m, args.d1, args.d2, config, trial_rng(args.seed))
     save_graph(g, args.out)
     print(f"wrote {args.out} (n={g.n} m={g.m} d1={g.d1} d2={g.d2} seed={args.seed})")
@@ -80,9 +80,8 @@ def _cmd_spectrum(args):
     g = load_graph(args.input)
     if args.density:
         xs = np.linspace(-2.0, 2.0, args.points)
-        params = {"d1": g.d1, "d2": g.d2} if args.density == "fixed-degree" else (
-            {"alpha": args.alpha} if args.density == "shifted-mp" else {}
-        )
+        params = {"fixed-degree": {"d1": g.d1, "d2": g.d2}, "shifted-mp": {"alpha": args.alpha}}.get(args.density, {})
+        spectra.check_law(args.density, params, "spectrum")
         dens = spectra.reference_density(args.density, params, xs)
         rows = list(zip((f"{x:.6f}" for x in xs), (f"{d:.8f}" for d in dens)))
         _emit(_table(rows, ["x", "density"]), args.out)
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", type=int, required=True)
     p.add_argument("--d2", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", default="auto", choices=["auto", "exact-rejection", "switch-chain"])
+    p.add_argument("--method", default="auto", choices=METHODS)
     p.add_argument("--mcmc-steps", type=int, default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sample)

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the checks of JSON config input."""
 
+import math
 from numbers import Integral, Real
 
 
@@ -96,10 +97,13 @@ def check_int_lists(where: str, key: str, value, items: str) -> None:
 
 
 def check_number(where: str, key: str, value, minimum=None) -> None:
-    """Raise MalformedInput naming key unless value is a real number that is
-    not a bool, and at least minimum where one is given."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise MalformedInput(f"{where} key {key!r} must be a number, got {value!r}")
+    """Raise MalformedInput naming key unless value is a finite real number
+    that is not a bool, and at least minimum where one is given.  json.load
+    reads NaN and Infinity, and no comparison with a minimum refuses NaN."""
+    # an integer too large for a float is still finite
+    finite = isinstance(value, Integral) or isinstance(value, Real) and math.isfinite(value)
+    if isinstance(value, bool) or not finite:
+        raise MalformedInput(f"{where} key {key!r} must be a finite number, got {value!r}")
     if minimum is not None and value < minimum:
         raise MalformedInput(f"{where} key {key!r} must be >= {minimum}, got {value!r}")
 

@@ -6,9 +6,10 @@ from one stream, ``_trial_graphs``, where trial t samples on
 among forked worker processes and joins their rows in trial order, so a
 report is the same for any worker count.  Walk-based statistics pair
 coefficients with walk counts through ``chebyshev.walk_sum`` and spectral
-ones go through ``spectra.linear_statistic``.  Parameters are checked before
-the first graph is sampled.  Reports carry the seed, the full parameter set,
-summary statistics, and the distance diagnostics.
+ones go through ``spectra.linear_statistic``.  Each experiment checks its own
+parameters and ``_trial_rows`` those of every run, before any graph is sampled
+or worker forks.  Reports carry the seed, the full parameter set, summary
+statistics, and the distance diagnostics.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .errors import (
     check_number,
     check_required_keys,
 )
-from .graph import BiregularGraph, v2_size
+from .graph import BiregularGraph, check_sizes, v2_size
 from .sampler import SamplerConfig, sample_graph, trial_rng
 
 
@@ -273,7 +274,7 @@ class ExperimentReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
 
 
-def _trial_graphs(n, m, d1, d2, method, seed, trials):
+def _trial_graphs(n, m, d1, d2, config, seed, trials):
     """The experiments' graphs: trial t samples on trial_rng(seed, t).
 
     Consume it with map, which drops each graph before the next is sampled.
@@ -281,7 +282,6 @@ def _trial_graphs(n, m, d1, d2, method, seed, trials):
     under the next dense Gram build: 30 MiB more peak RSS for globallaw at
     n = 2000.
     """
-    config = SamplerConfig(method=method, seed=seed)
     for t in trials:
         yield sample_graph(n, m, d1, d2, config, trial_rng(seed, t))
 
@@ -355,8 +355,13 @@ def _run_trials(chunk, samples):
     return [row for rows, _ in results for row in rows]
 
 
-def _trial_rows(row, n, m, d1, d2, method, seed, samples, eigensolve=False):
+def _trial_rows(name, row, n, m, d1, d2, method, seed, samples, eigensolve=False):
     """[row(g) for the graph g of each trial], in trial order.
+
+    The one gate of a run, which experiment name passes after its own
+    checks: a shape with no simple graph, a sample count below 1, a negative
+    seed and an unknown method are refused before any graph is sampled or
+    worker forks.
 
     Workers run whole trials unless row eigensolves.  LAPACK then runs only
     in this process: OpenBLAS eigenvalues depend on its thread count, and
@@ -364,10 +369,15 @@ def _trial_rows(row, n, m, d1, d2, method, seed, samples, eigensolve=False):
     went from 0.5 s to 7.3 s).  So workers only sample, and only for the
     switch chain; a stub-matched trial is nearly all eigensolve.
     """
-    graphs = partial(_trial_graphs, n, m, d1, d2, method, seed)
+    check_sizes(n, m, d1, d2)
+    for where, key, value, low in ((f"{name} params", "samples", samples, 1), ("config", "seed", seed, 0)):
+        check_int(where, key, value)
+        check_number(where, key, value, minimum=low)
+    config = SamplerConfig(method=method)
+    graphs = partial(_trial_graphs, n, m, d1, d2, config, seed)
     if not eigensolve:
         return list(_run_trials(lambda trials: map(row, graphs(trials)), samples))
-    chain = SamplerConfig(method=method).resolve_method(n, m, d1, d2) == "switch-chain"
+    chain = config.resolve_method(n, m, d1, d2) == "switch-chain"
     return list(map(row, _run_trials(graphs, samples) if chain else graphs(range(samples))))
 
 
@@ -393,7 +403,7 @@ def poisson_experiment(
     if (d1 - 1) * (d2 - 1) == 0:
         raise MalformedInput(f"(d1, d2) = ({d1}, {d2}) has q = 0, so every Poisson mean mu_k is 0")
     counts = partial(cycle_count_vector, r=r)
-    rows = np.array(_trial_rows(counts, n, m, d1, d2, method, seed, samples), dtype=np.int64)
+    rows = np.array(_trial_rows("poisson", counts, n, m, d1, d2, method, seed, samples), dtype=np.int64)
     mus = [poisson_cycle_mean(k, d1, d2) for k in range(2, r + 1)]
     statistics = {}
     distances = {}
@@ -447,24 +457,20 @@ def fluctuation_experiment_fixed(
     seed: int,
     method: str = "auto",
     use_eigenvalues: bool = False,
-    k_max: int | None = None,
-    keep_samples: bool = True,
 ) -> ExperimentReport:
     """Empirical law of the centered statistic vs the Poisson-built limit law.
 
     The statistic defaults to the exact walk-count identity (a polynomial
     expansion makes sum f(lambda_i) a rational combination of CNBW counts);
-    use_eigenvalues=True computes it from the spectrum instead.
+    use_eigenvalues=True computes it from the spectrum instead.  The limit
+    draws stop at C_k_max, k_max = max(degree, 2), as walk_sum reads no more.
     """
     if (d1, d2) == (2, 2):
         raise ValueError("(d1, d2) = (2, 2) has no nondegenerate fixed-degree limit")
     m = v2_size(n, d1, d2)
     exp = expansion.to_gamma(d1, d2)
     deg = exp.degree  # a constant-only expansion yields Y identically 0
-    if k_max is None:
-        k_max = max(deg, 2)
-    if k_max < 2:
-        raise MalformedInput(f"fluctuation-fixed params key 'k_max' must be >= 2, got {k_max}")
+    k_max = max(deg, 2)
     for j in range(2, k_max + 1):
         mu = poisson_cycle_mean(j, d1, d2)
         if mu > POISSON_LAM_MAX:
@@ -479,7 +485,7 @@ def fluctuation_experiment_fixed(
             return spectra.fluctuation_fixed(spectra.eigenvalues(g), exp)
         return chebyshev.walk_sum(exp.coeffs, walks.cnbw_counts_up_to(g, deg), q)
 
-    ys = _trial_rows(statistic, n, m, d1, d2, method, seed, samples, eigensolve=use_eigenvalues)
+    ys = _trial_rows("fluctuation-fixed", statistic, n, m, d1, d2, method, seed, samples, eigensolve=use_eigenvalues)
     ys = np.array(ys, dtype=float)
     limit_rng_base = samples  # separate stream indices for the limit draws
     limit = np.array(
@@ -489,7 +495,7 @@ def fluctuation_experiment_fixed(
     mus = [chebyshev.mu_cnbw(k, d1, d2) for k in range(1, deg + 1)]
     mean_limit = chebyshev.walk_sum(exp.coeffs, mus, q)
     mom, lm = Moments.of(ys), Moments.of(limit)
-    report = ExperimentReport(
+    return ExperimentReport(
         name="fluctuation-fixed",
         params={
             "n": n, "m": m, "d1": d1, "d2": d2, "samples": samples,
@@ -502,11 +508,8 @@ def fluctuation_experiment_fixed(
             "Y_limit": {"mean": lm.mean, "variance": lm.variance, "analytic_mean": mean_limit},
         },
         distances={"tv_vs_limit": tv_two_samples(ys, limit)},
+        samples={"Y": ys, "Y_limit": limit},
     )
-    if keep_samples:
-        report.samples["Y"] = ys
-        report.samples["Y_limit"] = limit
-    return report
 
 
 def fluctuation_experiment_growing(
@@ -518,9 +521,9 @@ def fluctuation_experiment_growing(
     seed: int,
     r_n: int | None = None,
     method: str = "auto",
-    keep_samples: bool = True,
 ) -> ExperimentReport:
-    """Gaussian check for growing degrees: means, variances, covariances, KS."""
+    """Gaussian check for growing degrees: means, variances, covariances, KS.
+    The report keeps the samples."""
     m = v2_size(n, d1, d2)
     if r_n is not None and r_n < 0:
         raise MalformedInput(f"fluctuation-growing params key 'r_n' must be >= 0, got {r_n}")
@@ -530,7 +533,7 @@ def fluctuation_experiment_growing(
         sample = spectra.eigenvalues(g)
         return [spectra.fluctuation_growing(sample, e, r_n) for e in exps]
 
-    ys = _trial_rows(statistics_of, n, m, d1, d2, method, seed, samples, eigensolve=True)
+    ys = _trial_rows("fluctuation-growing", statistics_of, n, m, d1, d2, method, seed, samples, eigensolve=True)
     ys = np.array(ys, dtype=float)
     statistics = {}
     distances = {}
@@ -559,7 +562,7 @@ def fluctuation_experiment_growing(
         f"d1/d2 = {ratio:g}, d2 = {d2}: the Gaussian limit requires the ratio "
         "or d2 to stay bounded along the sequence"
     )
-    report = ExperimentReport(
+    return ExperimentReport(
         name="fluctuation-growing",
         params={
             "n": n, "m": m, "d1": d1, "d2": d2, "samples": samples,
@@ -568,11 +571,9 @@ def fluctuation_experiment_growing(
         seed=seed,
         statistics=statistics,
         distances=distances,
+        samples={"Y": ys},
         notes=[note],
     )
-    if keep_samples:
-        report.samples["Y"] = ys
-    return report
 
 
 def globallaw_experiment(
@@ -592,22 +593,7 @@ def globallaw_experiment(
         raise MalformedInput(f"globallaw params key 'params' must be a JSON object, got {params!r}")
     if model == "fixed-degree" and not params:
         params = {"d1": d1, "d2": d2}
-    if model not in spectra.MODEL_PARAMS:
-        raise MalformedInput(
-            f"globallaw params key 'model' must be one of {', '.join(spectra.MODEL_PARAMS)}, got {model!r}"
-        )
-    check_config_keys(f"globallaw {model} params", params, set(spectra.MODEL_PARAMS[model]))
-    missing = [key for key in spectra.MODEL_PARAMS[model] if key not in params]
-    if missing:
-        raise MalformedInput(
-            f"globallaw params key 'params' lacks {', '.join(map(repr, missing))}, "
-            f"which the {model} model needs"
-        )
-    for key, value in params.items():
-        # shifted-mp needs alpha >= 1, and fixed-degree integer degrees with q = (d1-1)(d2-1) >= 1
-        if model == "fixed-degree":
-            check_int(f"globallaw {model} params", key, value)
-        check_number(f"globallaw {model} params", key, value, minimum=1 if key == "alpha" else 2)
+    spectra.check_law(model, params, "globallaw")
 
     def row(g):
         sample = spectra.eigenvalues(g)
@@ -617,7 +603,7 @@ def globallaw_experiment(
             abs(sample.eigenvalues[0] - sample.top_exact),
         )
 
-    rows = _trial_rows(row, n, m, d1, d2, method, seed, samples, eigensolve=True)
+    rows = _trial_rows("globallaw", row, n, m, d1, d2, method, seed, samples, eigensolve=True)
     ks = np.array([r[0] for r in rows])
     edge = np.array([r[1] for r in rows])
     top = np.array([r[2] for r in rows])
@@ -657,8 +643,6 @@ def run_experiment(config: dict) -> ExperimentReport:
     name = config["experiment"]
     seed = config.get("seed", 0)
     check_int("config", "seed", seed)
-    # trial_rng would refuse it only in the first trial, perhaps in a worker
-    check_number("config", "seed", seed, minimum=0)
     params = config.get("params", {})
     if not isinstance(params, dict):
         raise MalformedInput(f"config key 'params' must be a JSON object, got {params!r}")
@@ -677,8 +661,6 @@ def run_experiment(config: dict) -> ExperimentReport:
             check_int(f"{name} params", key, value, allow_none=signature[key].annotation != "int")
         if signature[key].annotation == "bool" and not isinstance(value, bool):
             raise MalformedInput(f"{name} params key {key!r} must be true or false, got {value!r}")
-    if params["samples"] < 1:
-        raise MalformedInput(f"{name} params key 'samples' must be >= 1, got {params['samples']}")
     if name == "fluctuation-fixed":
         params["expansion"] = _expansion_from_config(name, "expansion", params["expansion"], params["d1"], params["d2"])
     if name == "fluctuation-growing":

@@ -64,11 +64,15 @@ class BiregularGraph:
     def __init__(self, n, m, d1, d2, edges):
         check_sizes(n, m, d1, d2)
         try:
-            pairs = np.asarray(edges, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
+            pairs = np.asarray(edges)
+        except ValueError as exc:
             raise MalformedEdgeList(f"edges are not integer pairs: {exc}") from exc
-        if pairs.size == 0:
+        if pairs.size == 0:  # np.asarray([]) is float64
             pairs = np.empty((0, 2), dtype=np.int64)
+        # a cast to int64 would truncate floats and parse strings; bools are not ids
+        if not np.issubdtype(pairs.dtype, np.integer):
+            raise MalformedEdgeList(f"edges are not integer pairs: their ids have dtype {pairs.dtype}")
+        pairs = pairs.astype(np.int64, copy=False)
         if pairs.ndim != 2 or pairs.shape[1] != 2:
             raise MalformedEdgeList(f"edges must have shape (E, 2), got {pairs.shape}")
         i, j = pairs.T

@@ -6,7 +6,8 @@ to V2 of the incidence bipartite graph is a bijection onto the biregular
 bipartite graphs whose V2 vertices have pairwise distinct neighbourhoods;
 the hypergraph adjacency matrix (shared-hyperedge counts, zero diagonal)
 equals XX^T - d1*I of the image.  Spectral and cycle machinery therefore
-delegates to the bipartite modules.
+delegates to the bipartite modules, and a uniform simple hypergraph is an
+incidence graph drawn by the sampler's auto method until its image is simple.
 """
 
 from __future__ import annotations
@@ -107,27 +108,19 @@ def adjacency_identity_gap(h: RegularHypergraph) -> int:
     return int(np.abs(h.adjacency - gram_shifted(to_bipartite(h))).max())
 
 
-def sample_regular_hypergraph(
-    n: int,
-    d1: int,
-    d2: int,
-    rng,
-    config: SamplerConfig | None = None,
-    max_rejections: int = 1000,
-) -> RegularHypergraph:
+def sample_regular_hypergraph(n: int, d1: int, d2: int, rng) -> RegularHypergraph:
     """Uniform simple (d1, d2)-regular hypergraph via bipartite rejection.
 
-    Samples the incidence bipartite graph uniformly and rejects images with
-    repeated hyperedges; the acceptance fraction approaches 1 like
-    1 - O(d1^2/(n d2^2)).
+    Samples the incidence bipartite graph by the auto method and rejects
+    images with repeated hyperedges, up to 1000 draws; the acceptance
+    fraction approaches 1 like 1 - O(d1^2/(n d2^2)).
     """
     m = v2_size(n, d1, d2)
-    config = config or SamplerConfig()
-    for _ in range(max_rejections):
-        g = sample_graph(n, m, d1, d2, config, rng)
+    for _ in range(1000):
+        g = sample_graph(n, m, d1, d2, SamplerConfig(), rng)
         if has_simple_image(g):
             return from_bipartite(g)
-    raise RejectionBudgetExceeded(f"no simple hypergraph in {max_rejections} draws")
+    raise RejectionBudgetExceeded("no simple hypergraph in 1000 draws")
 
 
 def hypergraph_cycle_count(h: RegularHypergraph, k: int) -> int:

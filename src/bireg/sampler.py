@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RejectionBudgetExceeded, TooLarge
+from .errors import MalformedInput, RejectionBudgetExceeded, TooLarge
 from .graph import BiregularGraph, check_sizes
 
 ENUMERATION_LIMIT = 25  # max n*m for enumerate_all
@@ -33,6 +33,7 @@ PROPOSAL_BLOCK = 1 << 14
 MAX_REJECTIONS = 10000  # stub-matching attempts per graph
 BURNIN_FACTOR = 20  # switch-chain burn-in target: BURNIN_FACTOR * |E| accepted swaps
 DENSE_THRESHOLD = 0.25  # auto picks the switch chain when d1*d2 > DENSE_THRESHOLD * n
+METHODS = ("auto", "exact-rejection", "switch-chain")
 
 
 def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
@@ -47,6 +48,7 @@ class SamplerConfig:
     method: "auto" picks exact-rejection in the sparse regime and the switch
     chain when rejection is hopeless (d1*d2 > DENSE_THRESHOLD * n, or
     configuration-model acceptance estimate exp(-q/2) below 1/MAX_REJECTIONS).
+    Nothing reads seed: the stream is the rng that each sampler is given.
     """
 
     method: str = "auto"
@@ -54,8 +56,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("auto", "exact-rejection", "switch-chain"):
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.method not in METHODS:
+            raise MalformedInput(f"sampler key 'method' must be one of {', '.join(METHODS)}, got {self.method!r}")
         if self.mcmc_steps < 1:
             raise ValueError("mcmc_steps must be >= 1")
 

@@ -22,12 +22,32 @@ import numpy as np
 from scipy import linalg
 
 from . import chebyshev, walks
-from .errors import SolverFailure
+from .errors import MalformedInput, SolverFailure, check_config_keys, check_int, check_number
 from .graph import BiregularGraph, scaled_gram
 
 _CDF_GRID = 1 << 13
 # the reference laws and the keys of their parameter dicts
 MODEL_PARAMS = {"semicircle": (), "fixed-degree": ("d1", "d2"), "shifted-mp": ("alpha",)}
+
+
+def check_law(model: str, params: dict, where: str = "reference law") -> None:
+    """The one check of a reference law: a typed error naming the key unless
+    model is a law and params holds exactly its keys, integer degrees >= 2
+    (so q >= 1) or a finite alpha >= 1.  where names the caller's config."""
+    if model not in MODEL_PARAMS:
+        raise MalformedInput(
+            f"{where} params key 'model' must be one of {', '.join(MODEL_PARAMS)}, got {model!r}"
+        )
+    check_config_keys(f"{where} {model} params", params, set(MODEL_PARAMS[model]))
+    missing = [key for key in MODEL_PARAMS[model] if key not in params]
+    if missing:
+        raise MalformedInput(
+            f"{where} params key 'params' lacks {', '.join(map(repr, missing))}, which the {model} model needs"
+        )
+    for key, value in params.items():
+        if model == "fixed-degree":
+            check_int(f"{where} {model} params", key, value)
+        check_number(f"{where} {model} params", key, value, minimum=1 if key == "alpha" else 2)
 
 
 @dataclass(frozen=True)
@@ -121,33 +141,27 @@ def identity_residuals(g: BiregularGraph, kmax: int, sample: SpectrumSample | No
 
 
 def _density_on_support(model: str, params: dict, x: np.ndarray) -> np.ndarray:
+    """The density on [-2, 2] of a law that check_law has passed."""
     sc = np.sqrt(np.maximum(1.0 - x * x / 4.0, 0.0)) / np.pi
     if model == "semicircle":
         return sc
     if model == "fixed-degree":
-        d1, d2 = int(params["d1"]), int(params["d2"])
+        d1, d2 = params["d1"], params["d2"]
         q = (d1 - 1) * (d2 - 1)
-        if q < 1:
-            raise ValueError("fixed-degree law needs q >= 1")
         sq = math.sqrt(q)
         num = 1 + (d2 - 1) / q
         den = (1 + 1 / q - x / sq) * (1 + (d2 - 1) ** 2 / q + (d2 - 1) * x / sq)
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(den > 0, num / den * sc, np.inf)
-        return out
-    if model == "shifted-mp":
-        alpha = float(params["alpha"])
-        if alpha < 1:
-            raise ValueError("shifted-mp law needs alpha >= 1")
-        den = 1 + alpha + math.sqrt(alpha) * x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(den > 0, alpha / den * sc, np.inf)
-        return out
-    raise ValueError(f"unknown model {model!r}")
+            return np.where(den > 0, num / den * sc, np.inf)
+    alpha = float(params["alpha"])  # shifted-mp
+    den = 1 + alpha + math.sqrt(alpha) * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(den > 0, alpha / den * sc, np.inf)
 
 
 def reference_density(model: str, params: dict, x) -> np.ndarray:
     """Density of the reference law at x (0 outside [-2, 2])."""
+    check_law(model, params)
     x = np.asarray(x, dtype=float)
     inside = (x >= -2.0) & (x <= 2.0)
     out = np.zeros_like(x)
@@ -178,6 +192,7 @@ def _cdf_table(key):
 
 def reference_cdf(model: str, params: dict):
     """Vectorized CDF of the reference law (numeric except the semicircle)."""
+    check_law(model, params)
     if model == "semicircle":
 
         def cdf(x):
@@ -205,14 +220,13 @@ def ks_statistic(values: np.ndarray, cdf) -> float:
     return float(max(upper, lower))
 
 
-def esd_distance(sample: SpectrumSample, model: str, params: dict | None = None) -> float:
+def esd_distance(sample: SpectrumSample, model: str, params: dict) -> float:
     """Kolmogorov-Smirnov distance between the (bulk) ESD and a reference law.
 
     For the fixed-degree and shifted-mp laws the comparison variable is
     lambda - (d2-2)/sqrt(q), matching the laws' definition.  For the
     semicircle the raw eigenvalues are used.
     """
-    params = params or {}
     vals = sample.bulk
     if model in ("fixed-degree", "shifted-mp"):
         vals = vals - sample.shift

@@ -306,10 +306,10 @@ class WalkCountTable:
         return (k, self.cycles[k - 1], self.nbw[k - 1], self.cnbw[k - 1], self.bad[k - 1])
 
 
-def walk_table(g: BiregularGraph, r: int, budget: int = CYCLE_BUDGET) -> WalkCountTable:
+def walk_table(g: BiregularGraph, r: int) -> WalkCountTable:
     if r < 1:
         raise ValueError("r must be >= 1")
-    cycles = [0] + [count_cycles(g, k, budget) for k in range(2, r + 1)]
+    cycles = [0] + [count_cycles(g, k) for k in range(2, r + 1)]
     nbw, cnbw = walk_counts(g, r)
     bad = []
     for k in range(1, r + 1):

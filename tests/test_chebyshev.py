@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from bireg.chebyshev import (
     sigma_f,
     walk_sum,
 )
-from bireg.errors import NonDecayingCoefficients
+from bireg.errors import MalformedInput, NonDecayingCoefficients
 
 
 def test_chebyshev_closed_forms():
@@ -207,3 +208,20 @@ def test_builtin_functions():
     assert builtin_function("exp") is np.exp
     with pytest.raises(ValueError):
         builtin_function("nope")
+
+
+def test_an_exact_expansion_reads_back_through_json():
+    # to_dict writes decay_rate = Infinity for an exact expansion
+    exp = basis_element("gamma", 3, 3)
+    text = json.dumps(exp.to_dict())
+    assert '"decay_rate": Infinity' in text
+    assert ChebExpansion.from_dict(json.loads(text)) == exp
+
+
+@pytest.mark.parametrize("key, value", [("coeffs", [1.0, math.nan]), ("coeffs", [math.inf]), ("k1", math.inf),
+                                        ("decay_rate", math.nan), ("decay_rate", -math.inf),
+                                        ("coeff_bound", math.inf)])
+def test_a_non_finite_expansion_value_is_refused(key, value):
+    data = dict(basis_element("phi", 2).to_dict(), **{key: value})
+    with pytest.raises(MalformedInput, match=f"^expansion key '{key}' must be a finite number"):
+        ChebExpansion.from_dict(data)

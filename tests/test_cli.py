@@ -63,6 +63,26 @@ def test_spectrum_and_density(tmp_path):
     assert len(dens.read_text().strip().splitlines()) == 12
 
 
+@pytest.mark.parametrize("alpha, message", [
+    ("nan", "must be a finite number, got nan"),
+    ("inf", "must be a finite number, got inf"),
+    ("0.5", "must be >= 1, got 0.5"),
+])
+def test_a_bad_density_parameter_is_a_typed_error(tmp_path, capsys, alpha, message):
+    # the law's parameters pass spectra.check_law, as a globallaw config's do
+    g = tmp_path / "g.json"
+    assert run(["sample", "--n", "12", "--m", "12", "--d1", "3", "--d2", "3", "--seed", "1",
+                "--out", str(g)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "dens.tsv"
+    assert run(["spectrum", "--in", str(g), "--density", "shifted-mp", "--alpha", alpha,
+                "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: spectrum shifted-mp params key 'alpha' {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_enumerate(capsys):
     assert run(["enumerate", "--n", "3", "--m", "3", "--d1", "2", "--d2", "2"]) == 0
     assert "6 graphs" in capsys.readouterr().out
@@ -251,6 +271,7 @@ def test_graph_file_with_out_of_range_edge(tmp_path, capsys):
 
 
 POISSON_PARAMS = {"n": 20, "m": 20, "d1": 2, "d2": 2, "r": 2, "samples": 3}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("n,m,d1,d2", [(6, 12, 2, 1), (12, 6, 1, 2), (6, 6, 1, 1)])
@@ -277,9 +298,13 @@ def test_poisson_with_zero_q_is_refused_before_sampling(tmp_path, capsys, monkey
         ({"experiment": "poisson", "seed": True, "params": POISSON_PARAMS}, "'seed'"),
         ({"experiment": "poisson", "params": dict(POISSON_PARAMS, samples="2")}, "'samples'"),
         ({"experiment": "poisson", "params": dict(POISSON_PARAMS, samples=0)}, "'samples'"),
+        # k_max is not a key of fluctuation-fixed: refused as unknown
         ({"experiment": "fluctuation-fixed",
           "params": {"n": 20, "d1": 3, "d2": 3, "expansion": "gamma_2", "samples": 2, "k_max": "3"}},
          "'k_max'"),
+        ({"experiment": "fluctuation-growing",
+          "params": {"n": 20, "d1": 3, "d2": 3, "expansions": ["phi_2"], "samples": 2, "r_n": "3"}},
+         "'r_n'"),
     ],
 )
 def test_badly_typed_config_value_is_a_typed_error(tmp_path, capsys, config, key):
@@ -360,8 +385,11 @@ GROWING_PARAMS = {"n": 200, "d1": 6, "d2": 6, "expansions": ["phi_2"], "samples"
 @pytest.mark.parametrize(
     "config, names",
     [
-        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, k_max=1)}, ["'k_max'", ">= 2"]),
-        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, k_max=0)}, ["'k_max'", ">= 2"]),
+        # k_max and keep_samples of the fluctuation experiments are not keys
+        ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, k_max=1)},
+         ["unknown key(s) 'k_max' in fluctuation-fixed params"]),
+        ({"experiment": "fluctuation-growing", "params": dict(GROWING_PARAMS, keep_samples=True)},
+         ["unknown key(s) 'keep_samples' in fluctuation-growing params"]),
         ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="semicirc")},
          ["'model'", "semicircle, fixed-degree, shifted-mp", "'semicirc'"]),
         ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="shifted-mp")},
@@ -397,7 +425,7 @@ GROWING_PARAMS = {"n": 200, "d1": 6, "d2": 6, "expansions": ["phi_2"], "samples"
         ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, use_eigenvalues="no")},
          ["'use_eigenvalues'", "'no'"]),
         ({"experiment": "fluctuation-fixed", "params": dict(FIXED_PARAMS, keep_samples="no")},
-         ["'keep_samples'", "'no'"]),
+         ["unknown key(s) 'keep_samples' in fluctuation-fixed params"]),
         ({"experiment": "fluctuation-growing", "params": dict(GROWING_PARAMS, expansions="phi_2")},
          ["'expansions'", "list"]),
         ({"experiment": "fluctuation-growing", "params": dict(GROWING_PARAMS, expansions=[])},
@@ -406,9 +434,28 @@ GROWING_PARAMS = {"n": 200, "d1": 6, "d2": 6, "expansions": ["phi_2"], "samples"
          ["'r_n'", ">= 0"]),
         ({"experiment": "poisson", "seed": -1, "params": POISSON_PARAMS},
          ["config key 'seed' must be >= 0, got -1"]),
+        # json.load reads NaN and Infinity, and no comparison refuses NaN
+        ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="shifted-mp", params={"alpha": NAN})},
+         ["'alpha'", "finite number", "nan"]),
+        ({"experiment": "globallaw", "params": dict(GLOBAL_PARAMS, model="shifted-mp", params={"alpha": INF})},
+         ["'alpha'", "finite number", "inf"]),
+        ({"experiment": "fluctuation-fixed",
+          "params": dict(FIXED_PARAMS, expansion={"basis": "phi", "coeffs": [1, NAN]})},
+         ["'coeffs'", "finite number", "nan"]),
+        # refused by the gate of every run, experiments._trial_rows
+        ({"experiment": "poisson", "params": dict(POISSON_PARAMS, method="bogus")},
+         ["sampler key 'method'", "auto, exact-rejection, switch-chain", "'bogus'"]),
+        ({"experiment": "poisson", "params": dict(POISSON_PARAMS, n=30, m=30, d1=40, d2=40)},
+         ["no simple graph exists"]),
+        ({"experiment": "poisson", "params": dict(POISSON_PARAMS, samples=0)},
+         ["poisson params key 'samples' must be >= 1, got 0"]),
     ],
 )
 def test_bad_experiment_params_are_refused_before_sampling(tmp_path, capsys, monkeypatch, config, names):
+    # with two workers a refusal inside a forked child would not show in the
+    # parent's count of sample_graph calls, so no trial may be run at all
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_run_trials", lambda *args: pytest.fail("ran trials"))
     samples = counting(monkeypatch, experiments, "sample_graph")
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))

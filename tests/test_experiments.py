@@ -308,6 +308,48 @@ def test_negative_seed_is_refused_before_the_first_trial(monkeypatch):
         run_experiment(config)
 
 
+# each experiment's smallest valid run, as a config, and the calls that run it directly
+GATE_CONFIGS = {
+    "poisson": {"n": 30, "m": 30, "d1": 3, "d2": 3, "r": 2, "samples": 4},
+    "fluctuation-fixed": {"n": 30, "d1": 3, "d2": 3, "expansion": "gamma_3", "samples": 4},
+    "fluctuation-growing": {"n": 30, "d1": 3, "d2": 3, "expansions": ["phi_2"], "samples": 4},
+    "globallaw": {"n": 30, "d1": 3, "d2": 3, "model": "semicircle", "samples": 4},
+}
+GATE_DIRECT = {
+    "poisson": lambda p, seed: poisson_experiment(seed=seed, **p),
+    "fluctuation-fixed": lambda p, seed: fluctuation_experiment_fixed(
+        seed=seed, **dict(p, expansion=basis_element("gamma", 3, p["d1"]))),
+    "fluctuation-growing": lambda p, seed: fluctuation_experiment_growing(
+        seed=seed, **dict(p, expansions=[basis_element("phi", 2)])),
+    "globallaw": lambda p, seed: globallaw_experiment(seed=seed, **p),
+}
+# (params changed, seed, error type, message); d1 = d2 = 40 at n = 30 makes m = 30 < d1
+GATE_INPUTS = {
+    "samples-zero": ({"samples": 0}, 1, MalformedInput, "params key 'samples' must be >= 1, got 0"),
+    "seed-negative": ({}, -1, MalformedInput, "config key 'seed' must be >= 0, got -1"),
+    "method-unknown": ({"method": "bogus"}, 1, MalformedInput, "sampler key 'method'"),
+    "d1-above-m": ({"d1": 40, "d2": 40}, 1, ValueError, "no simple graph exists"),
+}
+
+
+@pytest.mark.parametrize("via", ["config", "call"])
+@pytest.mark.parametrize("inputs", GATE_INPUTS)
+@pytest.mark.parametrize("name", GATE_CONFIGS)
+def test_a_bad_run_is_refused_before_any_worker_forks(monkeypatch, name, inputs, via):
+    # with two workers a refusal made inside the forked workers would still
+    # raise, so the trial runner and the sampler must not run at all
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "_run_trials", lambda *args: pytest.fail("ran trials"))
+    monkeypatch.setattr(experiments, "sample_graph", lambda *args: pytest.fail("sampled a graph"))
+    change, seed, error, message = GATE_INPUTS[inputs]
+    params = dict(GATE_CONFIGS[name], **change)
+    with pytest.raises(error, match=message):
+        if via == "config":
+            run_experiment({"experiment": name, "seed": seed, "params": params})
+        else:
+            GATE_DIRECT[name](params, seed)
+
+
 @pytest.mark.parametrize(
     "run",
     [

@@ -61,6 +61,16 @@ def test_edge_array_of_wrong_shape_is_rejected():
     # a flat array is not re-paired into edges
     with pytest.raises(MalformedEdgeList):
         BiregularGraph(n=2, m=2, d1=2, d2=2, edges=np.array([0, 0, 0, 1, 1, 0, 1, 1]))
+    # ids that a cast to int64 would truncate or parse into K_{2,2}
+    for edges in ([(0, 0), (0, 1.9), (1, 0), (1, 1)], [(0, 0), (0, "1"), (1, 0), (1, 1)],
+                  np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=bool), [(0, 0), (0, 1), (1, 0), (1, 2**64)]):
+        with pytest.raises(MalformedEdgeList, match="edges are not integer pairs"):
+            BiregularGraph(n=2, m=2, d1=2, d2=2, edges=edges)
+    # numpy reads an empty list as float64: it is still the empty edge list
+    with pytest.raises(DegreeMismatch, match="expected 4 edges, got 0"):
+        BiregularGraph(n=2, m=2, d1=2, d2=2, edges=[])
+    narrow_ids = np.array([(0, 0), (0, 1), (1, 0), (1, 1)], dtype=np.uint8)
+    assert BiregularGraph(n=2, m=2, d1=2, d2=2, edges=narrow_ids) == complete_bipartite(2, 2)
 
 
 def test_array_and_shuffled_tuples_build_the_same_graph():

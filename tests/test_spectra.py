@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from bireg.chebyshev import basis_element, gamma_poly
+from bireg.errors import BiregError
 from bireg.graph import complete_bipartite, scaled_gram
 from bireg.spectra import (
     eigenvalues,
@@ -210,3 +212,20 @@ def test_esd_distance_and_recentering_toggle():
     s = eigenvalues(g)
     d = esd_distance(s, "fixed-degree", {"d1": 3, "d2": 3})
     assert 0 <= d <= 0.2  # the finite-degree bulk law fits well already at n=300
+
+
+@pytest.mark.parametrize("model, params, message", [
+    ("semicirc", {}, "reference law params key 'model' must be one of semicircle, fixed-degree, shifted-mp"),
+    ("semicircle", {"alpha": 2.0}, "unknown key(s) 'alpha' in reference law semicircle params"),
+    ("fixed-degree", {"d1": 3}, "reference law params key 'params' lacks 'd2'"),
+    ("fixed-degree", {"d1": 3.0, "d2": 3}, "key 'd1' must be an integer"),
+    ("fixed-degree", {"d1": 1, "d2": 3}, "key 'd1' must be >= 2, got 1"),
+    ("shifted-mp", {"alpha": 0.5}, "key 'alpha' must be >= 1, got 0.5"),
+    ("shifted-mp", {"alpha": math.nan}, "key 'alpha' must be a finite number, got nan"),
+    ("shifted-mp", {"alpha": math.inf}, "key 'alpha' must be a finite number, got inf"),
+])
+def test_a_bad_reference_law_is_refused_by_density_and_cdf(model, params, message):
+    with pytest.raises(BiregError, match=re.escape(message)):
+        reference_density(model, params, 0.0)
+    with pytest.raises(BiregError, match=re.escape(message)):
+        reference_cdf(model, params)
