@@ -235,9 +235,10 @@ class ChebExpansion:
         for key in ("d1", "d2"):
             check_int("expansion", key, data.get(key), allow_none=True)
         for key in ("k1", "decay_rate", "coeff_bound"):
-            # to_dict writes decay_rate Infinity for an exact expansion
+            # to_dict writes decay_rate Infinity for an exact expansion; k1 is
+            # a half-width and coeff_bound an envelope, so neither is negative
             if key in data and not (key == "decay_rate" and data[key] == math.inf):
-                check_number("expansion", key, data[key])
+                check_number("expansion", key, data[key], minimum=None if key == "decay_rate" else 0)
         return cls(
             basis=data["basis"],
             coeffs=tuple(coeffs),

@@ -3,8 +3,8 @@
 Every experiment is deterministic given (parameters, seed): its graphs come
 from one stream, ``_trial_graphs``, where trial t samples on
 ``trial_rng(seed, t)``, and one runner, ``_run_trials``, splits the trials
-among forked worker processes and joins their rows in trial order, so a
-report is the same for any worker count.  Walk-based statistics pair
+between this process and forked workers and joins their rows in trial order,
+so a report is the same for any worker count.  Walk-based statistics pair
 coefficients with walk counts through ``chebyshev.walk_sum`` and spectral
 ones go through ``spectra.linear_statistic``.  Each experiment checks its own
 parameters and ``_trial_rows`` those of every run, before any graph is sampled
@@ -287,8 +287,9 @@ def _trial_graphs(n, m, d1, d2, config, seed, trials):
 
 
 def _cpu_count() -> int:
-    """The CPUs this process may run on; the trial runner forks
-    min(_cpu_count(), samples) workers."""
+    """The CPUs this process may run on; the trial runner splits the trials
+    into min(_cpu_count(), samples) chunks, one per worker process, this
+    process among them."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -309,11 +310,13 @@ def _run_trials(chunk, samples):
     are split into contiguous chunks, one per worker; since trial t samples
     on trial_rng(seed, t), the joined rows do not depend on the worker count.
     With one worker, chunk runs in this process and its iterable is returned
-    as it is.  Otherwise each chunk runs in a forked child, which sends back
-    its rows (or its exception) through a one-way pipe and exits; chunk may
-    be a closure, since nothing of it is pickled.  Every child is joined
-    before the first exception, in trial order, is re-raised; a child that
-    exits without sending counts as WorkerDied.
+    as it is.  Otherwise this process runs chunk 0 itself, and each later
+    chunk runs in a forked child, which sends back its rows (or its
+    exception) through a one-way pipe and exits; chunk may be a closure,
+    since nothing of it is pickled.  An exception in chunk 0 stops the
+    children and is raised as it is.  Otherwise every child is joined before
+    the first exception, in trial order, is re-raised; a child that exits
+    without sending counts as WorkerDied.
     """
     workers = min(_cpu_count(), samples)
     if workers == 1:
@@ -327,13 +330,13 @@ def _run_trials(chunk, samples):
     bounds = [samples * w // workers for w in range(workers + 1)]
     children = []
     try:
-        for lo, hi in zip(bounds, bounds[1:]):
+        for lo, hi in zip(bounds[1:], bounds[2:]):
             recv, send = ctx.Pipe(duplex=False)
             child = ctx.Process(target=_run_chunk, args=(chunk, range(lo, hi), send))
             children.append((child, recv))
             child.start()
             send.close()
-        results = []
+        results = [(list(chunk(range(bounds[1]))), None)]
         for child, recv in children:
             try:
                 results.append(recv.recv())

@@ -3,8 +3,8 @@
 A (n, m, d1, d2)-biregular bipartite graph has vertex classes V1 = [n] and
 V2 = [m]; every V1 vertex has degree d1 and every V2 vertex degree d2, which
 forces n*d1 = m*d2.  Graphs are immutable value objects stored as one sorted
-array of edge keys; the derived views (edge tuple, adjacency arrays, sparse
-biadjacency) are built from it on first use and cached.
+array of edge keys; the derived views (edge tuple, edge set, adjacency
+arrays) are built from it on first use and cached.
 
 This module alone decides what a valid graph is: ``check_sizes`` refuses a
 shape no simple graph has, ``v2_size`` gives m = n*d1/d2 or refuses it, and
@@ -153,15 +153,6 @@ class BiregularGraph:
         right.flags.writeable = False
         return right
 
-    @cached_property
-    def biadjacency(self) -> sparse.csr_array:
-        """Sparse 0/1 matrix X of shape (n, m); X[i, j] = 1 iff (i, j) is an edge."""
-        e = len(self.keys)
-        return sparse.csr_array(
-            (np.ones(e, dtype=np.int64), self.keys % self.m, np.arange(0, e + 1, self.d1)),
-            shape=(self.n, self.m),
-        )
-
     def has_edge(self, i: int, j: int) -> bool:
         return (i, j) in self.edge_set
 
@@ -230,17 +221,23 @@ def complete_bipartite(n: int, m: int) -> BiregularGraph:
 
 
 def gram_shifted_sparse(g: BiregularGraph, shift: int | None = None) -> sparse.csr_array:
-    """X X^T - shift*I as a sparse int64 matrix, shift = d1 unless given, with
-    zero diagonal entries dropped (at shift = d1 the whole diagonal).
+    """X X^T - shift*I as a canonical sparse int64 matrix, shift = d1 unless
+    given, with zero entries dropped (at shift = d1 the whole diagonal).
 
-    Row i has at most 1 + d1*(d2-1) stored entries, so the product costs
-    O(n d1 d2) whatever the shape of X.
+    No product is formed.  For each V2 neighbour j of p, the co-degree keys
+    p*n + l list the V1 neighbours l of j, p among them; sorted, each key's
+    run length is the co-degree (X X^T)[p, l], and the diagonal key p*(n+1)
+    of row p has run length d1.  The keys number n*d1*d2, so the build costs
+    O(n d1 d2 log(n d1 d2)) whatever the shape of X.
     """
-    x = g.biadjacency
-    p = x @ x.T
-    p.setdiag(p.diagonal() - (g.d1 if shift is None else shift))
-    p.eliminate_zeros()
-    return p
+    n = g.n
+    around = np.take(g.adjacency_right, g.adjacency_left, axis=0).reshape(n, -1)
+    keys, counts = np.unique(around + (np.arange(n) * n)[:, None], return_counts=True)
+    counts[np.searchsorted(keys, np.arange(n) * (n + 1))] -= g.d1 if shift is None else shift
+    keep = counts != 0
+    keys, counts = keys[keep], counts[keep]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+    return sparse.csr_array((counts, keys % n, indptr), shape=(n, n))
 
 
 def gram_shifted(g: BiregularGraph) -> np.ndarray:

@@ -27,11 +27,11 @@ as mutual oracles:
   polynomials.  It shares no code or recurrence with the matrix path.
 
 All counts are exact.  Each recurrence step, each Frobenius product and the
-one trace run in the narrowest of three tiers that a bound on their partial
-sums allows: int32 below 2^31, int64 below 2^62, and Python-int (object)
-arrays above.  The step bound is (d1(d2-1) + |d2-2|)*max|U_j| +
-q*max|U_{j-1}|, the bound of <U_a, U_b>_F is n^2*max|U_a|*max|U_b|, and that
-of tr U_1 is n*max|U_1|.
+one trace run in the narrowest of four tiers that a bound on their partial
+sums allows: int16 below 2^15, int32 below 2^31, int64 below 2^62, and
+Python-int (object) arrays above.  The step bound is
+(d1(d2-1) + |d2-2|)*max|U_j| + q*max|U_{j-1}|, the bound of <U_a, U_b>_F is
+n^2*max|U_a|*max|U_b|, and that of tr U_1 is n*max|U_1|.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def _absmax(x) -> int:
 
 # (dtype, limit): an integer computation whose partial sums all stay below
 # limit in absolute value is exact in dtype; object arrays hold Python ints
-_TIERS = ((np.int32, 2**31), (np.int64, 2**62), (object, None))
+_TIERS = ((np.int16, 2**15), (np.int32, 2**31), (np.int64, 2**62), (object, None))
 
 
 def _tier(bound: int):
@@ -128,10 +128,10 @@ def _u_matrices(g: BiregularGraph, kmax: int):
     absolute sum d1(d2-1) + |d2-2| (co-degrees adding up to d1(d2-1) off the
     diagonal, 2-d2 on it), so every partial sum of a step is at most
     (d1(d2-1) + |d2-2|)*max|U_j| + q*max|U_{j-1}|.  Each step runs in the
-    narrowest tier of _TIERS that this bound allows: int32 below 2^31, int64
-    below 2^62, Python-int arrays above, and U_{j+1} keeps that dtype.  B is
-    cast once per change of tier, and each max|U_j| is measured once, when
-    U_j is made.
+    narrowest tier of _TIERS that this bound allows: int16 below 2^15, int32
+    below 2^31, int64 below 2^62, Python-int arrays above, and U_{j+1} keeps
+    that dtype.  B is cast once per change of tier, and each max|U_j| is
+    measured once, when U_j is made.
     """
     b = gram_shifted_sparse(g, g.d1 + g.d2 - 2)
     row, q = g.d1 * (g.d2 - 1) + abs(g.d2 - 2), g.q

@@ -225,3 +225,16 @@ def test_a_non_finite_expansion_value_is_refused(key, value):
     data = dict(basis_element("phi", 2).to_dict(), **{key: value})
     with pytest.raises(MalformedInput, match=f"^expansion key '{key}' must be a finite number"):
         ChebExpansion.from_dict(data)
+
+
+@pytest.mark.parametrize("key, value", [("k1", -3.0), ("k1", -1), ("coeff_bound", -1.0), ("coeff_bound", -1e-300)])
+def test_a_negative_half_width_or_envelope_is_refused(key, value):
+    data = dict(basis_element("phi", 2).to_dict(), **{key: value})
+    with pytest.raises(MalformedInput, match=f"^expansion key '{key}' must be >= 0, got {value!r}$"):
+        ChebExpansion.from_dict(data)
+
+
+@pytest.mark.parametrize("key", ["k1", "coeff_bound"])
+def test_a_zero_half_width_or_envelope_is_accepted(key):
+    data = dict(basis_element("phi", 2).to_dict(), **{key: 0.0})
+    assert getattr(ChebExpansion.from_dict(data), key) == 0.0

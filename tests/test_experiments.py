@@ -412,7 +412,9 @@ def test_reports_are_byte_identical_for_any_worker_count(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("name", WORKER_CONFIGS)
 def test_workers_sample_and_only_this_process_eigensolves(monkeypatch, name):
     # LAPACK's eigenvalues depend on its thread count, so no worker may
-    # eigensolve, and a stub-matched eigensolve trial runs in process
+    # eigensolve, and a stub-matched eigensolve trial runs in process.  Where
+    # the trials fork, this process samples chunk 0, the first samples // 2
+    # of them, and the child samples the rest
     config = WORKER_CONFIGS[name]
     p = config["params"]
     method = SamplerConfig().resolve_method(p["n"], p.get("m", p["n"] * p["d1"] // p["d2"]), p["d1"], p["d2"])
@@ -424,5 +426,33 @@ def test_workers_sample_and_only_this_process_eigensolves(monkeypatch, name):
     monkeypatch.setattr(experiments, "sample_graph", lambda *a: sampled.append(1) or sample_graph(*a))
     monkeypatch.setattr(experiments.spectra, "eigenvalues", lambda g: solved.append(1) or eigenvalues(g))
     run_experiment(config)
-    assert len(sampled) == (p["samples"] if eigen and method != "switch-chain" else 0)
+    assert len(sampled) == (p["samples"] if eigen and method != "switch-chain" else p["samples"] // 2)
     assert len(solved) == (p["samples"] if eigen else 0)
+
+
+def _fail_at(trial):
+    """A poisson row function that raises on the graph of one trial index."""
+    graphs = [sample_graph(30, 30, 3, 3, SamplerConfig(), trial_rng(1, t)) for t in range(4)]
+
+    def row(g, r):
+        if g == graphs[trial]:
+            raise MalformedInput(f"bad graph at trial {trial}")
+        return cycle_count_vector(g, r)
+
+    return row
+
+
+@pytest.mark.parametrize("trial", [0, 3], ids=["in-this-process", "in-the-child"])
+def test_a_trial_exception_is_raised_as_with_one_worker(monkeypatch, trial):
+    # two workers: trials 0-1 run in this process, 2-3 in one forked child.
+    # An exception in either chunk reaches the caller with the type and
+    # message it has with one worker, and no child outlives the call
+    outcomes = []
+    for workers in (1, 2):
+        monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
+        monkeypatch.setattr(experiments, "cycle_count_vector", _fail_at(trial))
+        with pytest.raises(MalformedInput) as info:
+            poisson_experiment(30, 30, 3, 3, 3, 4, seed=1)
+        outcomes.append((type(info.value), str(info.value)))
+        assert multiprocessing.active_children() == []
+    assert outcomes[1] == outcomes[0] == (MalformedInput, f"bad graph at trial {trial}")

@@ -16,6 +16,7 @@ from bireg.graph import (
     BiregularGraph,
     complete_bipartite,
     gram_shifted,
+    gram_shifted_sparse,
     load_graph,
     save_graph,
     scaled_gram,
@@ -95,7 +96,6 @@ def test_views_agree_with_the_edge_list():
         assert g.adjacency_left.tolist() == [sorted(a) for a in left]
         assert g.adjacency_right.tolist() == [sorted(a) for a in right]
         assert g.edge_set == frozenset(g.edges)
-        assert set(zip(*g.biadjacency.nonzero())) == g.edge_set
 
 
 def _outcome(build):
@@ -183,12 +183,14 @@ def test_adjacency_right_on_both_sides_of_the_int16_cut(n, m, d1):
     assert g.adjacency_right.tolist() == right
 
 
-def _gram_from_edges(g):
+def _gram_from_edges(g, shift=None):
+    """X X^T - shift*I, shift = d1 unless given, with X built from the edge tuples."""
     x = np.zeros((g.n, g.m))
     for i, j in g.edges:
         x[i, j] = 1.0
     # float64 BLAS is exact here: co-degrees are small integers
-    return np.rint(x @ x.T).astype(np.int64) - g.d1 * np.eye(g.n, dtype=np.int64)
+    shift = g.d1 if shift is None else shift
+    return np.rint(x @ x.T).astype(np.int64) - shift * np.eye(g.n, dtype=np.int64)
 
 
 def test_gram_shifted_matches_codegree_reference():
@@ -200,11 +202,33 @@ def test_gram_shifted_matches_codegree_reference():
         assert np.array_equal(gram, _gram_from_edges(g))
 
 
-def test_row_and_column_sums_on_random_graphs():
-    for g in random_corpus(5, 9, 12, 4, 3, seed=1):
-        x = g.biadjacency
-        assert (x.sum(axis=1) == g.d1).all()
-        assert (x.sum(axis=0) == g.d2).all()
+# the stub-matching oracle's six shapes, then d1 = 1 and d2 = 1 alone
+GRAM_SHAPES = [(30, 30, 3, 3), (60, 40, 2, 3), (40, 60, 3, 2), (5, 5, 1, 1), (6, 8, 4, 3), (2, 2, 2, 2),
+               (12, 4, 1, 3), (4, 12, 3, 1)]
+
+
+def _gram_graphs():
+    graphs = [sample_configuration(*shape, trial_rng(seed)) for shape in GRAM_SHAPES for seed in (0, 1)]
+    return graphs + [complete_bipartite(3, 5), complete_bipartite(4, 4), complete_bipartite(1, 3)]
+
+
+def test_gram_shifted_sparse_matches_a_dense_reference():
+    for g in _gram_graphs():
+        for shift in (None, 0, g.d1 + g.d2 - 2):
+            p = gram_shifted_sparse(g, shift)
+            assert np.array_equal(p.toarray(), _gram_from_edges(g, shift))
+            # canonical: each row's columns strictly increase, no stored zero
+            assert p.shape == (g.n, g.n) and p.data.dtype == np.int64
+            assert all((np.diff(p.indices[a:b]) > 0).all() for a, b in zip(p.indptr, p.indptr[1:]))
+            assert (p.data != 0).all()
+
+
+def test_scaled_gram_is_the_dense_reference_over_sqrt_q():
+    for g in _gram_graphs():
+        if g.q == 0:
+            continue
+        want = _gram_from_edges(g).astype(np.float64) / np.sqrt(g.q)
+        assert np.array_equal(scaled_gram(g).view(np.int64), want.view(np.int64))
 
 
 def test_scaled_gram_k22():

@@ -119,8 +119,12 @@ def assert_matches_reference(g, kmax):
 
 def narrowest_tier(bound):
     """The dtype an exact integer computation needs when its partial sums
-    stay below bound: int32 below 2^31, int64 below 2^62, Python ints above."""
-    return np.dtype(np.int32) if bound < 2**31 else np.dtype(np.int64) if bound < 2**62 else np.dtype(object)
+    stay below bound: int16 below 2^15, int32 below 2^31, int64 below 2^62,
+    Python ints above."""
+    for dtype, limit in ((np.int16, 2**15), (np.int32, 2**31), (np.int64, 2**62)):
+        if bound < limit:
+            return np.dtype(dtype)
+    return np.dtype(object)
 
 
 def nonbacktracking_walks(g, k, cyclic):
@@ -225,18 +229,20 @@ def test_bigint_escalation_matches_small_k(k33):
 
 
 def test_recurrence_matches_reference_on_sampled_graph():
-    # at (3,3,300) every step bound up to U_14 stays below 2^31
+    # at (3,3,300) every step bound up to U_14 stays below 2^31, and up to
+    # U_10 below 2^15: 7*max|U_9| + 4*max|U_8| = 7*1734 + 4*635 = 14678
     g = sample_graph(300, 300, 3, 3, SamplerConfig(seed=7), trial_rng(7, 0))
     us = assert_matches_reference(g, 14)
-    assert [u.dtype for u in us] == [np.dtype(np.int32)] * 14
+    assert [u.dtype for u in us] == [np.dtype(np.int16)] * 10 + [np.dtype(np.int32)] * 4
 
 
 def test_recurrence_switches_tiers_mid_run():
-    # K_{8,8}: the step bound of U_6 is 62*max|U_5| + 49*max|U_4| > 2^31,
-    # and that of U_12 passes 2^62
+    # K_{8,8}: the step bound of U_4 is 62*max|U_3| + 49*max|U_2| > 2^15,
+    # that of U_6 passes 2^31 and that of U_12 2^62
     g = complete_bipartite(8, 8)
     us = assert_matches_reference(g, 12)
-    assert [u.dtype for u in us] == [np.dtype(t) for t in [np.int32] * 5 + [np.int64] * 6 + [object]]
+    tiers = [np.int16] * 3 + [np.int32] * 2 + [np.int64] * 6 + [object]
+    assert [u.dtype for u in us] == [np.dtype(t) for t in tiers]
 
 
 @pytest.mark.parametrize("d,kmax", [(3, 40), (8, 12)], ids=["K33", "K88"])
@@ -249,7 +255,7 @@ def test_each_recurrence_step_runs_in_its_narrowest_tier(d, kmax):
     maxes = [0, 1] + [max(abs(v) for v in u.ravel().tolist()) for u in us]  # maxes[k+1] = max|U_k|
     for k in range(1, kmax + 1):
         assert us[k - 1].dtype == narrowest_tier(row * maxes[k] + g.q * maxes[k - 1]), f"U_{k}"
-    assert {u.dtype for u in us} == {np.dtype(np.int32), np.dtype(np.int64), np.dtype(object)}
+    assert {u.dtype for u in us} == {np.dtype(t) for t in (np.int16, np.int32, np.int64, object)}
 
 
 def test_walk_counts_peak_does_not_grow_with_the_horizon():
@@ -268,11 +274,15 @@ def test_walk_counts_peak_does_not_grow_with_the_horizon():
 
 
 def test_tier_limits():
-    assert _tier(0) is np.int32
+    assert _tier(0) is np.int16
+    assert _tier(2**15 - 1) is np.int16
+    assert _tier(2**15) is np.int32
     assert _tier(2**31 - 1) is np.int32
     assert _tier(2**31) is np.int64
     assert _tier(2**62 - 1) is np.int64
     assert _tier(2**62) is object
+    for bound in (0, 2**15 - 1, 2**15, 2**31 - 1, 2**31, 2**62 - 1, 2**62, 2**80):
+        assert np.dtype(_tier(bound)) == narrowest_tier(bound)
 
 
 def test_nbw_count_trace_does_not_wrap():
