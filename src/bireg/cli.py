@@ -158,9 +158,8 @@ def _cmd_hypergraph(args):
     _check_at_least("kmax", args.kmax, 0)
     h = hypergraph.load_hypergraph(args.input)
     gap = hypergraph.adjacency_identity_gap(h)
-    rows = [("adjacency_identity_gap", gap)]
-    for k in range(2, args.kmax + 1):
-        rows.append((f"cycles_{k}", hypergraph.hypergraph_cycle_count(h, k)))
+    cycles = walks.cycle_count_vector(hypergraph.to_bipartite(h), args.kmax)
+    rows = [("adjacency_identity_gap", gap)] + [(f"cycles_{k}", c) for k, c in enumerate(cycles, start=2)]
     _emit(_table(rows, ["quantity", "value"]), args.out)
     return 0
 
@@ -244,10 +243,7 @@ def dispatch(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BiregError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (BiregError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

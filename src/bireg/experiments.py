@@ -39,8 +39,9 @@ from .errors import (
     check_number,
     check_required_keys,
 )
-from .graph import BiregularGraph, check_sizes, v2_size
+from .graph import check_sizes, v2_size
 from .sampler import SamplerConfig, sample_graph, trial_rng
+from .walks import cycle_count_vector
 
 
 def poisson_cycle_mean(k: int, d1: int, d2: int) -> float:
@@ -52,37 +53,20 @@ def poisson_cycle_mean(k: int, d1: int, d2: int) -> float:
 POISSON_LAM_MAX = float(np.iinfo(np.int64).max - 10 * np.sqrt(np.iinfo(np.int64).max))
 
 
-# ---------------------------------------------------------------------------
-# streaming moments
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Moments:
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    @classmethod
-    def of(cls, values) -> "Moments":
-        mom = cls()
-        for x in values:
-            mom.add(float(x))
-        return mom
-
-    @property
-    def variance(self) -> float:
-        return self.m2 / (self.count - 1) if self.count > 1 else float("nan")
-
-    @property
-    def stderr(self) -> float:
-        return math.sqrt(self.variance / self.count) if self.count > 1 else float("nan")
+def moments(values) -> tuple:
+    """(mean, variance, stderr) of values by Welford's streaming update; the
+    variance and stderr are nan for fewer than two values."""
+    count, mean, m2 = 0, 0.0, 0.0
+    for x in values:
+        x = float(x)
+        count += 1
+        delta = x - mean
+        mean += delta / count
+        m2 += delta * (x - mean)
+    if count < 2:
+        return mean, float("nan"), float("nan")
+    variance = m2 / (count - 1)
+    return mean, variance, math.sqrt(variance / count)
 
 
 # ---------------------------------------------------------------------------
@@ -166,77 +150,6 @@ def tv_two_samples(x, y) -> float:
     hx = np.bincount(px, minlength=len(vals)) / len(xi)
     hy = np.bincount(py, minlength=len(vals)) / len(yi)
     return float(0.5 * np.abs(hx - hy).sum())
-
-
-# ---------------------------------------------------------------------------
-# fast cycle counting for sampled graphs
-# ---------------------------------------------------------------------------
-
-
-# elements of the row-sorted path array handled at once
-_PATH_BLOCK = 1 << 18
-
-
-def _sum_squared_runs(rows: np.ndarray) -> int:
-    """Sum of c^2 over the lengths c of the runs of equal values in each row
-    of a row-sorted 2-D array."""
-    if rows.size == 0:
-        return 0
-    starts = np.ones(rows.shape, dtype=bool)
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-    idx = np.flatnonzero(starts)
-    c = np.diff(idx)
-    last = rows.size - int(idx[-1])
-    return int(c @ c) + last * last
-
-
-def cycle_count_vector(g: BiregularGraph, r: int) -> list:
-    """[C_2, ..., C_r]; closed-form trace counts for k <= 3, DFS beyond.
-
-    With P = XX^T and A1 = P - d1 I, both counts come from two integer
-    arrays with one sorted row per V1 vertex p.  Flattened, they are the
-    sorted key arrays p*n + l and p*m + j with p left implicit; no sparse
-    matrix is formed.
-
-    * Co-degree pairs: row p lists, for each V2 neighbour of p, that
-      neighbour's other V1 neighbours l.  Each l appears once per shared V2
-      neighbour, so the run lengths c are the nonzero entries of A1:
-      C_2 = sum_{i<l} C(c, 2) = sum c(c-1)/4 and tr(A1^2) = sum c^2.
-    * Length-3 paths: row p lists the V2 neighbours j of every entry l of
-      the row above.  The run lengths are the entries of A1 X, so
-      tr(A1^3) = ||A1 X||_F^2 - d1 tr(A1^2).  The rows are built in blocks of
-      at most _PATH_BLOCK elements, since they hold |E| d1 (d2-1) in all.
-
-    Then 6*C_3 = tr(A1^3) - 3(d2-2)(tr(P^2) - m d1 d2) + 2 m d2(d2-1)(d2-2)
-    (mediator-coincidence inclusion-exclusion; cross-validated against the
-    DFS enumerator).  Every sum is an exact integer.
-    """
-    out = []
-    n, m, d1, d2 = g.n, g.m, g.d1, g.d2
-    width = d1 * (d2 - 1)  # partners per V1 vertex, with multiplicity
-    if r >= 2:
-        # vertex ids fit in int32 for any graph whose key array fits in memory
-        left = g.adjacency_left.astype(np.int32)
-        around = np.take(g.adjacency_right.astype(np.int32), left, axis=0).reshape(n, d1 * d2)
-        partners = around[around != np.arange(n, dtype=np.int32)[:, None]].reshape(n, width)
-        partners.sort(axis=1)
-        tr_a1_sq = _sum_squared_runs(partners)
-        out.append((tr_a1_sq - partners.size) // 4)
-    if r >= 3:
-        rows_per_block = max(1, _PATH_BLOCK // max(1, width * d1))
-        a1x_sq = 0
-        for p0 in range(0, n, rows_per_block):
-            block = partners[p0 : p0 + rows_per_block]
-            paths = np.take(left, block, axis=0).reshape(len(block), -1)
-            paths.sort(axis=1)
-            a1x_sq += _sum_squared_runs(paths)
-        tr_a1_cubed = a1x_sq - d1 * tr_a1_sq
-        # tr(P^2) = tr(A1^2) + n d1^2
-        s_sum = tr_a1_sq + n * d1 * d1 - m * d1 * d2
-        out.append((tr_a1_cubed - 3 * (d2 - 2) * s_sum + 2 * m * d2 * (d2 - 1) * (d2 - 2)) // 6)
-    for k in range(4, r + 1):
-        out.append(walks.count_cycles(g, k))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +325,13 @@ def poisson_experiment(
     distances = {}
     for idx, k in enumerate(range(2, r + 1)):
         col = rows[:, idx]
-        mom = Moments.of(col)
+        mean, variance, stderr = moments(col)
         statistics[f"C{k}"] = {
-            "mean": mom.mean,
-            "variance": mom.variance,
-            "stderr": mom.stderr,
+            "mean": mean,
+            "variance": variance,
+            "stderr": stderr,
             "target_mean": mus[idx],
-            "dispersion": mom.variance / mus[idx],
+            "dispersion": variance / mus[idx],
         }
         distances[f"tv_C{k}"] = tv_empirical_poisson(col, mus[idx])
     joint_tv, cells, bias = tv_empirical_product_poisson(rows, mus)
@@ -446,8 +359,8 @@ def sample_limit_Yf(expansion: ChebExpansion, d1: int, d2: int, k_max: int, rng)
     if k_max < 2:
         raise ValueError("k_max must be >= 2")
     exp = expansion.to_gamma(d1, d2)
-    cs = {j: rng.poisson(poisson_cycle_mean(j, d1, d2)) for j in range(2, k_max + 1)}
-    cnbw = [sum(2 * j * cs[j] for j in range(2, k + 1) if k % j == 0) for k in range(1, k_max + 1)]
+    cycles = [0] + [rng.poisson(poisson_cycle_mean(j, d1, d2)) for j in range(2, k_max + 1)]
+    cnbw = walks.cycle_traversals(cycles)
     return float(chebyshev.walk_sum(exp.coeffs, cnbw, (d1 - 1) * (d2 - 1)))
 
 
@@ -497,7 +410,8 @@ def fluctuation_experiment_fixed(
     )
     mus = [chebyshev.mu_cnbw(k, d1, d2) for k in range(1, deg + 1)]
     mean_limit = chebyshev.walk_sum(exp.coeffs, mus, q)
-    mom, lm = Moments.of(ys), Moments.of(limit)
+    mean, variance, stderr = moments(ys)
+    limit_mean, limit_variance, _ = moments(limit)
     return ExperimentReport(
         name="fluctuation-fixed",
         params={
@@ -507,8 +421,8 @@ def fluctuation_experiment_fixed(
         },
         seed=seed,
         statistics={
-            "Y": {"mean": mom.mean, "variance": mom.variance, "stderr": mom.stderr},
-            "Y_limit": {"mean": lm.mean, "variance": lm.variance, "analytic_mean": mean_limit},
+            "Y": {"mean": mean, "variance": variance, "stderr": stderr},
+            "Y_limit": {"mean": limit_mean, "variance": limit_variance, "analytic_mean": mean_limit},
         },
         distances={"tv_vs_limit": tv_two_samples(ys, limit)},
         samples={"Y": ys, "Y_limit": limit},
@@ -640,9 +554,13 @@ EXPERIMENTS = {
 
 
 def run_experiment(config: dict) -> ExperimentReport:
-    """Dispatch a config dict: {"experiment": name, "seed": s, "params": {...}}."""
+    """Dispatch a config dict: {"experiment": name, "seed": s, "params": {...}},
+    with an optional "output" path that the command line writes the report to."""
     if not isinstance(config, dict) or "experiment" not in config:
         raise MissingConfigKey(f"config has no 'experiment' key; experiments: {', '.join(EXPERIMENTS)}")
+    check_config_keys("config", config, {"experiment", "seed", "params", "output"})
+    if "output" in config and not isinstance(config["output"], str):
+        raise MalformedInput(f"config key 'output' must be a file path string, got {config['output']!r}")
     name = config["experiment"]
     seed = config.get("seed", 0)
     check_int("config", "seed", seed)

@@ -124,10 +124,11 @@ def sample_regular_hypergraph(n: int, d1: int, d2: int, rng) -> RegularHypergrap
 
 
 def hypergraph_cycle_count(h: RegularHypergraph, k: int) -> int:
-    """Cycles of length k in the hypergraph = 2k-cycles of the incidence graph."""
+    """Cycles of length k in the hypergraph = 2k-cycles of the incidence graph,
+    from walks.cycle_count_vector."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    return walks.count_cycles(to_bipartite(h), k)
+    return walks.cycle_count_vector(to_bipartite(h), k)[-1]
 
 
 def save_hypergraph(h: RegularHypergraph, path) -> None:

@@ -228,8 +228,10 @@ def _rewire(adj, removed, added):
 
 
 def _creations_ok(adj, removed, added, r, expect, budget_state):
-    """True iff the canonical forms of short cycles through added edges in the
-    rewired graph equal exactly `expect` (a set of canonical vertex tuples).
+    """True iff the short cycles through added edges in the rewired graph
+    are exactly `expect` (a set of canonical vertex tuples): empty forward,
+    and {alpha} backward, where alpha is always found as all its edges are
+    added, so no cycle outside `expect` is enough.
 
     adj holds the adjacency sets of g; removed are distinct edges of g and
     added distinct non-edges, so rewiring adj in place and back restores it.
@@ -238,13 +240,9 @@ def _creations_ok(adj, removed, added, r, expect, budget_state):
     _spend(budget_state, len(removed) + len(added))
     _rewire(adj, removed, added)
     try:
-        seen = set()
-        for a, b in added:
-            for cyc in _cycles_through_edge(*adj, a, b, r, budget_state):
-                if cyc not in expect:
-                    return False
-                seen.add(cyc)
-        return seen == expect
+        return all(
+            cyc in expect for a, b in added for cyc in _cycles_through_edge(*adj, a, b, r, budget_state)
+        )
     finally:
         _rewire(adj, added, removed)
 

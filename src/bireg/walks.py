@@ -26,6 +26,13 @@ as mutual oracles:
   tr B^t, and the explicit coefficient expansions of the Chebyshev-type
   polynomials.  It shares no code or recurrence with the matrix path.
 
+Beside the oracles, ``cycle_count_vector`` is the one production count of
+C_2..C_r: closed-form traces of sorted co-degree and path key arrays for
+k <= 3, and ``count_cycles`` beyond.  ``walk_table``, the experiments and the
+hypergraph layer all take C_k from it, and ``cycle_traversals`` gives the
+cycle part sum_{j | k} 2j*C_j of CNBW_k.  The closed forms share no code
+with the oracles, which check them.
+
 All counts are exact.  Each recurrence step, each Frobenius product and the
 one trace run in the narrowest of four tiers that a bound on their partial
 sums allows: int16 below 2^15, int32 below 2^31, int64 below 2^62, and
@@ -92,6 +99,84 @@ def enumerate_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET):
 def count_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET) -> int:
     """Number of simple cycles of length 2k."""
     return sum(1 for _ in enumerate_cycles(g, k, budget))
+
+
+# ---------------------------------------------------------------------------
+# closed-form cycle counts
+# ---------------------------------------------------------------------------
+
+
+# elements of the row-sorted path array handled at once
+_PATH_BLOCK = 1 << 18
+
+
+def _sum_squared_runs(rows: np.ndarray) -> int:
+    """Sum of c^2 over the lengths c of the runs of equal values in each row
+    of a row-sorted 2-D array."""
+    if rows.size == 0:
+        return 0
+    starts = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
+    idx = np.flatnonzero(starts)
+    c = np.diff(idx)
+    last = rows.size - int(idx[-1])
+    return int(c @ c) + last * last
+
+
+def cycle_count_vector(g: BiregularGraph, r: int) -> list:
+    """[C_2, ..., C_r]; closed-form trace counts for k <= 3, DFS beyond.
+
+    With P = XX^T and A1 = P - d1 I, both counts come from two integer
+    arrays with one sorted row per V1 vertex p.  Flattened, they are the
+    sorted key arrays p*n + l and p*m + j with p left implicit; no sparse
+    matrix is formed.
+
+    * Co-degree pairs: row p lists, for each V2 neighbour of p, that
+      neighbour's other V1 neighbours l.  Each l appears once per shared V2
+      neighbour, so the run lengths c are the nonzero entries of A1:
+      C_2 = sum_{i<l} C(c, 2) = sum c(c-1)/4 and tr(A1^2) = sum c^2.
+    * Length-3 paths: row p lists the V2 neighbours j of every entry l of
+      the row above.  The run lengths are the entries of A1 X, so
+      tr(A1^3) = ||A1 X||_F^2 - d1 tr(A1^2).  The rows are built in blocks of
+      at most _PATH_BLOCK elements, since they hold |E| d1 (d2-1) in all.
+
+    Then 6*C_3 = tr(A1^3) - 3(d2-2)(tr(P^2) - m d1 d2) + 2 m d2(d2-1)(d2-2)
+    (mediator-coincidence inclusion-exclusion; cross-validated against the
+    DFS enumerator).  Every sum is an exact integer.
+    """
+    out = []
+    n, m, d1, d2 = g.n, g.m, g.d1, g.d2
+    width = d1 * (d2 - 1)  # partners per V1 vertex, with multiplicity
+    if r >= 2:
+        # vertex ids fit in int32 for any graph whose key array fits in memory
+        left = g.adjacency_left.astype(np.int32)
+        around = np.take(g.adjacency_right.astype(np.int32), left, axis=0).reshape(n, d1 * d2)
+        partners = around[around != np.arange(n, dtype=np.int32)[:, None]].reshape(n, width)
+        partners.sort(axis=1)
+        tr_a1_sq = _sum_squared_runs(partners)
+        out.append((tr_a1_sq - partners.size) // 4)
+    if r >= 3:
+        rows_per_block = max(1, _PATH_BLOCK // max(1, width * d1))
+        a1x_sq = 0
+        for p0 in range(0, n, rows_per_block):
+            block = partners[p0 : p0 + rows_per_block]
+            paths = np.take(left, block, axis=0).reshape(len(block), -1)
+            paths.sort(axis=1)
+            a1x_sq += _sum_squared_runs(paths)
+        tr_a1_cubed = a1x_sq - d1 * tr_a1_sq
+        # tr(P^2) = tr(A1^2) + n d1^2
+        s_sum = tr_a1_sq + n * d1 * d1 - m * d1 * d2
+        out.append((tr_a1_cubed - 3 * (d2 - 2) * s_sum + 2 * m * d2 * (d2 - 1) * (d2 - 2)) // 6)
+    for k in range(4, r + 1):
+        out.append(count_cycles(g, k))
+    return out
+
+
+def cycle_traversals(cycles) -> list:
+    """[sum_{j | k} 2j*C_j for k = 1..len(cycles)] from cycles = [C_1, C_2, ...]:
+    the cyclically non-backtracking closed walks of length 2k that go round
+    one j-cycle k/j times, from each of its j V1 starts in 2 directions."""
+    return [sum(2 * j * cycles[j - 1] for j in range(1, k + 1) if k % j == 0) for k in range(1, len(cycles) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +394,10 @@ class WalkCountTable:
 def walk_table(g: BiregularGraph, r: int) -> WalkCountTable:
     if r < 1:
         raise ValueError("r must be >= 1")
-    cycles = [0] + [count_cycles(g, k) for k in range(2, r + 1)]
+    cycles = [0] + cycle_count_vector(g, r)
     nbw, cnbw = walk_counts(g, r)
-    bad = []
-    for k in range(1, r + 1):
-        repeats = sum(2 * j * cycles[j - 1] for j in range(1, k + 1) if k % j == 0)
-        b = cnbw[k - 1] - repeats
+    bad = [c - repeats for c, repeats in zip(cnbw, cycle_traversals(cycles))]
+    for k, b in enumerate(bad, start=1):
         if b < 0:
             raise AssertionError(f"negative bad-walk count at k={k}: {b}")
-        bad.append(b)
     return WalkCountTable(r=r, q=g.q, cycles=tuple(cycles), nbw=tuple(nbw), cnbw=tuple(cnbw), bad=tuple(bad))

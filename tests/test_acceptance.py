@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  In a 251 s run of the whole tier-1 suite on a 2-vCPU host, with
-experiments running one worker process per CPU, criteria 9, 7, 8, 5 and 10
-took 80 s, 47 s, 28 s, 27 s and 25 s.
+lines.  In a 184 s run of the whole tier-1 suite on a 2-vCPU host, with
+experiments running one worker process per CPU, criteria 9, 7, 8, 10 and 5
+took 47 s, 43 s, 23 s, 19 s and 15 s.
 """
 
 import random

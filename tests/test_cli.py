@@ -274,6 +274,32 @@ POISSON_PARAMS = {"n": 20, "m": 20, "d1": 2, "d2": 2, "r": 2, "samples": 3}
 NAN, INF = float("nan"), float("inf")
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"experiment": "poisson", "sede": 5, "params": POISSON_PARAMS},
+     "unknown key(s) 'sede' in config; allowed: experiment, output, params, seed"),
+    ({"experiment": "poisson", "params": POISSON_PARAMS, "output": 5},
+     "config key 'output' must be a file path string, got 5"),
+], ids=["misspelled-seed", "output-not-a-string"])
+def test_a_bad_top_level_config_key_is_refused_before_sampling(tmp_path, capsys, monkeypatch, config, message):
+    monkeypatch.setattr(experiments, "sample_graph", lambda *args: pytest.fail("sampled a graph"))
+    cfg = tmp_path / "top.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["experiment", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_walks_counts_short_cycles_beyond_the_dfs_budget(tmp_path):
+    # C_2 and C_3 come in closed form; the DFS of the 6-cycles of this
+    # graph (co-degrees up to 60) exceeds the enumeration budget
+    g, out = tmp_path / "g.json", tmp_path / "walks.tsv"
+    assert run(["sample", "--n", "300", "--m", "6000", "--d1", "60", "--d2", "3", "--out", str(g)]) == 0
+    assert run(["walks", "--in", str(g), "--r", "3", "--out", str(out)]) == 0
+    rows = [line.split("\t") for line in out.read_text().strip().splitlines()[1:]]
+    assert [(k, b) for k, _, _, _, b in rows] == [("1", "0"), ("2", "0"), ("3", "0")]
+
+
 @pytest.mark.parametrize("n,m,d1,d2", [(6, 12, 2, 1), (12, 6, 1, 2), (6, 6, 1, 1)])
 def test_poisson_with_zero_q_is_refused_before_sampling(tmp_path, capsys, monkeypatch, n, m, d1, d2):
     # d1 = 1 or d2 = 1 makes q = 0 and every Poisson mean mu_k = 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from bireg import experiments
+from bireg import experiments, walks
 from bireg.chebyshev import basis_element, fit_expansion
 from bireg.errors import MalformedInput
 from bireg.experiments import (
@@ -149,7 +149,7 @@ def test_cycle_count_vector_is_the_same_in_any_block_size(monkeypatch):
     corpus = random_corpus(4, 40, 30, 3, 4, seed=56) + [complete_bipartite(5, 6)]
     whole = [cycle_count_vector(g, 3) for g in corpus]
     for block in (1, 7, 100):
-        monkeypatch.setattr(experiments, "_PATH_BLOCK", block)
+        monkeypatch.setattr(walks, "_PATH_BLOCK", block)
         assert [cycle_count_vector(g, 3) for g in corpus] == whole
 
 
