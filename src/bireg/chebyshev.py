@@ -106,14 +106,12 @@ def gamma_poly(k: int, d1: int, x, d2: int | None = None):
 
 def gamma_constant(k: int, d1: int, d2: int | None = None) -> float:
     """Gamma_k(x) - Phi_k(x), a constant in x: 0 for k = 0, and for k >= 1
-    c_k = [(d1-d2)(1-d2)^k + d1 d2 - d1 - d2] / (d2 q^{k/2}), which is
-    cnbw_constant(k, n, d1, d2) / (n q^{k/2}) for every n.  For d1 = d2 = d
-    it is (d-2)/(d-1)^k."""
+    cnbw_constant(k, n, d1, d2) / (n q^{k/2}), the same for every n, so read
+    at n = d2 (where m = d1).  For d1 = d2 = d it is (d-2)/(d-1)^k."""
     d2 = d1 if d2 is None else d2
     if k == 0:
         return 0.0
-    q = (d1 - 1) * (d2 - 1)
-    return ((d1 - d2) * (1 - d2) ** k + d1 * d2 - d1 - d2) / (d2 * q ** (k / 2))
+    return cnbw_constant(k, d2, d1, d2) / (d2 * ((d1 - 1) * (d2 - 1)) ** (k / 2))
 
 
 # ---------------------------------------------------------------------------

@@ -220,24 +220,46 @@ def complete_bipartite(n: int, m: int) -> BiregularGraph:
     return BiregularGraph.from_keys(n, m, m, n, np.arange(n * m))
 
 
+def codegree_rows(g: BiregularGraph) -> np.ndarray:
+    """The one build of X X^T: an (n, d1*d2) int32 array whose row p lists,
+    ascending, the V1 neighbours l of each V2 neighbour of p, p itself d1
+    times.  Each l appears once per V2 vertex it shares with p, so the runs
+    of row p are the nonzero entries (X X^T)[p, l], the diagonal run d1 long."""
+    # vertex ids fit in int32 for any graph whose key array fits in memory
+    rows = np.take(g.adjacency_right.astype(np.int32), g.adjacency_left, axis=0).reshape(g.n, g.d1 * g.d2)
+    rows.sort(axis=1)
+    return rows
+
+
+def run_lengths(rows: np.ndarray) -> tuple:
+    """(starts, lengths) of the runs of equal values in each row of a
+    row-sorted 2-D array, with starts indexing rows.ravel()."""
+    first = np.ones(rows.shape, dtype=bool)
+    np.not_equal(rows[:, 1:], rows[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = rows.size - starts[-1:]
+    return starts, lengths
+
+
 def gram_shifted_sparse(g: BiregularGraph, shift: int | None = None) -> sparse.csr_array:
     """X X^T - shift*I as a canonical sparse int64 matrix, shift = d1 unless
     given, with zero entries dropped (at shift = d1 the whole diagonal).
 
-    No product is formed.  For each V2 neighbour j of p, the co-degree keys
-    p*n + l list the V1 neighbours l of j, p among them; sorted, each key's
-    run length is the co-degree (X X^T)[p, l], and the diagonal key p*(n+1)
-    of row p has run length d1.  The keys number n*d1*d2, so the build costs
-    O(n d1 d2 log(n d1 d2)) whatever the shape of X.
+    No product is formed: row p has one entry per run of codegree_rows(g)[p],
+    the run's value as column and its length as value, so the build sorts n
+    rows of d1*d2 ids whatever the shape of X.
     """
-    n = g.n
-    around = np.take(g.adjacency_right, g.adjacency_left, axis=0).reshape(n, -1)
-    keys, counts = np.unique(around + (np.arange(n) * n)[:, None], return_counts=True)
-    counts[np.searchsorted(keys, np.arange(n) * (n + 1))] -= g.d1 if shift is None else shift
+    rows = codegree_rows(g)
+    n, width = rows.shape
+    starts, counts = run_lengths(rows)
+    cols = rows.ravel()[starts].astype(np.int64)
+    counts[cols == starts // width] -= g.d1 if shift is None else shift
     keep = counts != 0
-    keys, counts = keys[keep], counts[keep]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-    return sparse.csr_array((counts, keys % n, indptr), shape=(n, n))
+    # row p's runs start at or after p*width
+    indptr = np.searchsorted(starts[keep], np.arange(n + 1) * width)
+    return sparse.csr_array((counts[keep], cols[keep], indptr), shape=(n, n))
 
 
 def gram_shifted(g: BiregularGraph) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -115,7 +116,11 @@ def sample_regular_hypergraph(n: int, d1: int, d2: int, rng) -> RegularHypergrap
     images with repeated hyperedges, up to 1000 draws; the acceptance
     fraction approaches 1 like 1 - O(d1^2/(n d2^2)).
     """
+    if d2 < 2:
+        raise ValueError("hyperedges must have size d2 >= 2")
     m = v2_size(n, d1, d2)
+    if m > comb(n, d2):
+        raise ValueError(f"no simple hypergraph exists: m = {m} hyperedges, but [{n}] has {comb(n, d2)} {d2}-subsets")
     for _ in range(1000):
         g = sample_graph(n, m, d1, d2, SamplerConfig(), rng)
         if has_simple_image(g):

@@ -59,12 +59,8 @@ class SpectrumSample:
     d2: int
 
     @property
-    def q(self) -> int:
-        return (self.d1 - 1) * (self.d2 - 1)
-
-    @property
     def top_exact(self) -> float:
-        return self.d1 * (self.d2 - 1) / math.sqrt(self.q)
+        return self.d1 * (self.d2 - 1) / math.sqrt((self.d1 - 1) * (self.d2 - 1))
 
     @property
     def bulk(self) -> np.ndarray:
@@ -173,13 +169,8 @@ def reference_density(model: str, params: dict, x) -> np.ndarray:
     return out
 
 
-def _cdf_key(model: str, params: dict):
-    return (model, tuple(sorted(params.items())))
-
-
 @lru_cache(maxsize=32)
-def _cdf_table(key):
-    model, items = key
+def _cdf_table(model: str, items: tuple):
     params = dict(items)
     # substitute x = -2 cos t; integrand is smooth in t even where the
     # density has inverse-sqrt edge singularities
@@ -203,7 +194,7 @@ def reference_cdf(model: str, params: dict):
             return 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * np.pi) + np.arcsin(x / 2.0) / np.pi
 
         return cdf
-    xs, table = _cdf_table(_cdf_key(model, params))
+    xs, table = _cdf_table(model, tuple(sorted(params.items())))
 
     def cdf(x):
         return np.interp(np.asarray(x, dtype=float), xs, table, left=0.0, right=1.0)

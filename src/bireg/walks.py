@@ -27,11 +27,11 @@ as mutual oracles:
   polynomials.  It shares no code or recurrence with the matrix path.
 
 Beside the oracles, ``cycle_count_vector`` is the one production count of
-C_2..C_r: closed-form traces of sorted co-degree and path key arrays for
-k <= 3, and ``count_cycles`` beyond.  ``walk_table``, the experiments and the
-hypergraph layer all take C_k from it, and ``cycle_traversals`` gives the
-cycle part sum_{j | k} 2j*C_j of CNBW_k.  The closed forms share no code
-with the oracles, which check them.
+C_2..C_r: closed-form traces of the co-degree rows of ``graph`` and of
+sorted path rows for k <= 3, and ``count_cycles`` beyond.  ``walk_table``,
+the experiments and the hypergraph layer all take C_k from it, and
+``cycle_traversals`` gives the cycle part sum_{j | k} 2j*C_j of CNBW_k.
+The closed forms share no code with the oracles, which check them.
 
 All counts are exact.  Each recurrence step, each Frobenius product and the
 one trace run in the narrowest of four tiers that a bound on their partial
@@ -50,7 +50,7 @@ import numpy as np
 
 from .chebyshev import cnbw_constant
 from .errors import HorizonTooLarge, TooLarge
-from .graph import BiregularGraph, gram_shifted_sparse
+from .graph import BiregularGraph, codegree_rows, gram_shifted_sparse, run_lengths
 
 CYCLE_BUDGET = 10**7
 WALK_BUDGET = 10**7
@@ -110,31 +110,16 @@ def count_cycles(g: BiregularGraph, k: int, budget: int = CYCLE_BUDGET) -> int:
 _PATH_BLOCK = 1 << 18
 
 
-def _sum_squared_runs(rows: np.ndarray) -> int:
-    """Sum of c^2 over the lengths c of the runs of equal values in each row
-    of a row-sorted 2-D array."""
-    if rows.size == 0:
-        return 0
-    starts = np.ones(rows.shape, dtype=bool)
-    np.not_equal(rows[:, 1:], rows[:, :-1], out=starts[:, 1:])
-    idx = np.flatnonzero(starts)
-    c = np.diff(idx)
-    last = rows.size - int(idx[-1])
-    return int(c @ c) + last * last
-
-
 def cycle_count_vector(g: BiregularGraph, r: int) -> list:
     """[C_2, ..., C_r]; closed-form trace counts for k <= 3, DFS beyond.
 
     With P = XX^T and A1 = P - d1 I, both counts come from two integer
-    arrays with one sorted row per V1 vertex p.  Flattened, they are the
-    sorted key arrays p*n + l and p*m + j with p left implicit; no sparse
-    matrix is formed.
+    arrays with one sorted row per V1 vertex p, read by ``run_lengths``; no
+    sparse matrix is formed.
 
-    * Co-degree pairs: row p lists, for each V2 neighbour of p, that
-      neighbour's other V1 neighbours l.  Each l appears once per shared V2
-      neighbour, so the run lengths c are the nonzero entries of A1:
-      C_2 = sum_{i<l} C(c, 2) = sum c(c-1)/4 and tr(A1^2) = sum c^2.
+    * Co-degree pairs: ``codegree_rows`` less p's own d1 entries, which
+      keeps each row sorted.  The run lengths c are the nonzero entries of
+      A1: C_2 = sum_{i<l} C(c, 2) = sum c(c-1)/4 and tr(A1^2) = sum c^2.
     * Length-3 paths: row p lists the V2 neighbours j of every entry l of
       the row above.  The run lengths are the entries of A1 X, so
       tr(A1^3) = ||A1 X||_F^2 - d1 tr(A1^2).  The rows are built in blocks of
@@ -148,21 +133,21 @@ def cycle_count_vector(g: BiregularGraph, r: int) -> list:
     n, m, d1, d2 = g.n, g.m, g.d1, g.d2
     width = d1 * (d2 - 1)  # partners per V1 vertex, with multiplicity
     if r >= 2:
-        # vertex ids fit in int32 for any graph whose key array fits in memory
-        left = g.adjacency_left.astype(np.int32)
-        around = np.take(g.adjacency_right.astype(np.int32), left, axis=0).reshape(n, d1 * d2)
-        partners = around[around != np.arange(n, dtype=np.int32)[:, None]].reshape(n, width)
-        partners.sort(axis=1)
-        tr_a1_sq = _sum_squared_runs(partners)
+        rows = codegree_rows(g)
+        partners = rows[rows != np.arange(n, dtype=np.int32)[:, None]].reshape(n, width)
+        c = run_lengths(partners)[1]
+        tr_a1_sq = int(c @ c)
         out.append((tr_a1_sq - partners.size) // 4)
     if r >= 3:
+        left = g.adjacency_left.astype(np.int32)
         rows_per_block = max(1, _PATH_BLOCK // max(1, width * d1))
         a1x_sq = 0
         for p0 in range(0, n, rows_per_block):
             block = partners[p0 : p0 + rows_per_block]
             paths = np.take(left, block, axis=0).reshape(len(block), -1)
             paths.sort(axis=1)
-            a1x_sq += _sum_squared_runs(paths)
+            c = run_lengths(paths)[1]
+            a1x_sq += int(c @ c)
         tr_a1_cubed = a1x_sq - d1 * tr_a1_sq
         # tr(P^2) = tr(A1^2) + n d1^2
         s_sum = tr_a1_sq + n * d1 * d1 - m * d1 * d2
@@ -213,9 +198,8 @@ def _u_matrices(g: BiregularGraph, kmax: int):
     absolute sum d1(d2-1) + |d2-2| (co-degrees adding up to d1(d2-1) off the
     diagonal, 2-d2 on it), so every partial sum of a step is at most
     (d1(d2-1) + |d2-2|)*max|U_j| + q*max|U_{j-1}|.  Each step runs in the
-    narrowest tier of _TIERS that this bound allows: int16 below 2^15, int32
-    below 2^31, int64 below 2^62, Python-int arrays above, and U_{j+1} keeps
-    that dtype.  B is cast once per change of tier, and each max|U_j| is
+    narrowest tier of _TIERS that this bound allows, and U_{j+1} keeps that
+    dtype.  B is cast once per change of tier, and each max|U_j| is
     measured once, when U_j is made.
     """
     b = gram_shifted_sparse(g, g.d1 + g.d2 - 2)
@@ -229,7 +213,7 @@ def _u_matrices(g: BiregularGraph, kmax: int):
             dtype = step
             b_tier = b.toarray().astype(object) if dtype is object else b.astype(dtype)
         if j == 0:
-            nxt = b_tier.copy() if dtype is object else b_tier.toarray()
+            nxt = b_tier.toarray()  # this step's bound, d1(d2-1) + |d2-2|, is below 2^62
         else:
             nxt = b_tier @ cur.astype(dtype, copy=False)
             if j == 1:
@@ -380,8 +364,6 @@ class WalkCountTable:
     and no room for two cycles, so it goes round one cycle.
     """
 
-    r: int
-    q: int
     cycles: tuple
     nbw: tuple
     cnbw: tuple
@@ -400,4 +382,4 @@ def walk_table(g: BiregularGraph, r: int) -> WalkCountTable:
     for k, b in enumerate(bad, start=1):
         if b < 0:
             raise AssertionError(f"negative bad-walk count at k={k}: {b}")
-    return WalkCountTable(r=r, q=g.q, cycles=tuple(cycles), nbw=tuple(nbw), cnbw=tuple(cnbw), bad=tuple(bad))
+    return WalkCountTable(cycles=tuple(cycles), nbw=tuple(nbw), cnbw=tuple(cnbw), bad=tuple(bad))

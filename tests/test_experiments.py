@@ -127,6 +127,7 @@ def test_tv_two_samples_identical_is_zero():
 def test_cycle_count_vector_matches_dfs():
     # d2 = 2 makes the (d2-2) terms of the C_3 formula vanish; (2, 4) and
     # (4, 2) have n != m both ways; d2 = 1 leaves no co-degree pairs at all;
+    # d1 = 1 makes p's own co-degree run 1 long and no co-degree exceed 1;
     # K_{3,4} has co-degree 4 and every A1 X entry above 1
     corpus = (
         random_corpus(6, 12, 16, 4, 3, seed=51)
@@ -134,6 +135,7 @@ def test_cycle_count_vector_matches_dfs():
         + random_corpus(6, 16, 8, 2, 4, seed=53)
         + random_corpus(6, 8, 16, 4, 2, seed=54)
         + random_corpus(2, 6, 12, 2, 1, seed=55)
+        + random_corpus(2, 12, 4, 1, 3, seed=58)
         + [complete_bipartite(3, 4), complete_bipartite(4, 3)]
     )
     for g in corpus:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bireg import hypergraph
 from bireg.errors import DegreeMismatch, DuplicateHyperedge, MalformedInput
 from bireg.graph import BiregularGraph
 from bireg.hypergraph import (
@@ -91,6 +92,20 @@ def test_spectrum_matches_bipartite_gram():
     lam_h = np.sort(np.linalg.eigvalsh(h.adjacency.astype(float)))
     lam_g = np.sort(np.linalg.eigvalsh(gram_shifted(g).astype(float)))
     assert np.allclose(lam_h, lam_g, atol=1e-10)
+
+
+def test_sampler_refuses_a_shape_with_no_simple_hypergraph_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("sampled a graph for a shape with no simple hypergraph")
+
+    monkeypatch.setattr(hypergraph, "sample_graph", no_draw)
+    for n, d1, d2 in ((10, 2, 1), (1, 1, 1)):
+        with pytest.raises(ValueError, match="hyperedges must have size d2 >= 2"):
+            sample_regular_hypergraph(n, d1, d2, trial_rng(0))
+    # m = 3 and m = 2 distinct hyperedges, but [n] has one d2-subset
+    for n, d1, d2 in ((4, 3, 4), (3, 2, 3)):
+        with pytest.raises(ValueError, match="^no simple hypergraph exists"):
+            sample_regular_hypergraph(n, d1, d2, trial_rng(0))
 
 
 def test_sampler_validates_and_accepts():
