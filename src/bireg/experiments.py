@@ -2,7 +2,8 @@
 
 Every experiment is deterministic given (parameters, seed): its graphs come
 from one stream, ``_trial_graphs``, where trial t samples on
-``trial_rng(seed, t)``, and one runner, ``_run_trials``, splits the trials
+``trial_rng(seed, t)``, and one runner, ``_run_trials``, runs them in this
+process or, where trial 0 shows that the work pays for a fork, splits them
 between this process and forked workers and joins their rows in trial order,
 so a report is the same for any worker count.  Walk-based statistics pair
 coefficients with walk counts through ``chebyshev.walk_sum`` and spectral
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -23,7 +25,9 @@ import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 from scipy import special
@@ -42,6 +46,8 @@ from .errors import (
 from .graph import check_sizes, v2_size
 from .sampler import SamplerConfig, sample_graph, trial_rng
 from .walks import cycle_count_vector
+
+log = logging.getLogger(__name__)
 
 
 def poisson_cycle_mean(k: int, d1: int, d2: int) -> float:
@@ -201,9 +207,13 @@ def _trial_graphs(n, m, d1, d2, config, seed, trials):
 
 def _cpu_count() -> int:
     """The CPUs this process may run on; the trial runner splits the trials
-    into min(_cpu_count(), samples) chunks, one per worker process, this
-    process among them."""
+    into min(_cpu_count(), samples) chunks, one per process it may use."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+# the least estimated work, in seconds, for which a chunk gets its own forked
+# child; see _run_trials
+FORK_COST_S = 0.020
 
 
 def _run_chunk(chunk, trials, conn) -> None:
@@ -220,27 +230,58 @@ def _run_trials(chunk, samples):
     """The rows of chunk(range(samples)), in trial order.
 
     chunk(trials) returns an iterable of one row per trial index.  The trials
-    are split into contiguous chunks, one per worker; since trial t samples
-    on trial_rng(seed, t), the joined rows do not depend on the worker count.
-    With one worker, chunk runs in this process and its iterable is returned
-    as it is.  Otherwise this process runs chunk 0 itself, and each later
-    chunk runs in a forked child, which sends back its rows (or its
-    exception) through a one-way pipe and exits; chunk may be a closure,
-    since nothing of it is pickled.  An exception in chunk 0 stops the
-    children and is raised as it is.  Otherwise every child is joined before
-    the first exception, in trial order, is re-raised; a child that exits
-    without sending counts as WorkerDied.
+    are split into min(_cpu_count(), samples) contiguous chunks; since trial
+    t samples on trial_rng(seed, t), the joined rows do not depend on where
+    each trial runs.  This process first runs trial 0 and times it.  A later
+    chunk's estimated work is that time times its trial count, and the later
+    chunks, which differ in length by at most one trial, are forked only if
+    the shortest one's work reaches FORK_COST_S.
+
+    A fork costs more than its 3-4 ms start-up: copy-on-write splits the
+    shared heap, so both processes take hundreds of page faults a trial, and
+    on a 2-vCPU host those serialize.  There, calling this function directly
+    with one worker against two (the smaller of two medians of 21 alternated
+    calls), (3,3,300) walk trials took 16.7/16.8 ms at 8 trials, 25.6/20.7 ms
+    at 12 and 41.4/27.8 ms at 24, and (3,3,300) poisson trials 13.7/13.5 ms
+    at 30, 18.8/18.1 ms at 50 and 30.4/21.6 ms at 80.  So a child pays once
+    its share passes about 10-15 ms.  FORK_COST_S sits above that, since one
+    trial's time is a noisy estimate, and about halfway on a log scale
+    between the child's share of a fixed-walks and of a poisson-counts
+    benchmark call (about 7.5 and 55 ms).
+
+    Without forks the rows are trial 0's chained with chunk(range(1,
+    samples)), which stays lazy, so a caller that maps over them still drops
+    each trial's graph before the next is sampled.  With forks this process
+    runs the rest of chunk 0, and each later chunk runs in a forked child,
+    which sends back its rows (or its exception) through a one-way pipe and
+    exits; chunk may be a closure, since nothing of it is pickled.  An
+    exception in trial 0 is raised before any child is forked, and one in
+    the rest of chunk 0 stops the children and is raised as it is.
+    Otherwise every child is joined before the first exception, in trial
+    order, is re-raised; a child that exits without sending counts as
+    WorkerDied.
     """
     workers = min(_cpu_count(), samples)
-    if workers == 1:
-        return chunk(range(samples))
+    bounds = [samples * w // workers for w in range(workers + 1)]
+    start = perf_counter()
+    first = list(chunk(range(1)))
+    trial_s = perf_counter() - start
+    work_s = trial_s * min((hi - lo for lo, hi in zip(bounds[1:], bounds[2:])), default=0)
+    forked = workers > 1 and work_s >= FORK_COST_S
+    log.debug(
+        "trial 0 took %.2f ms, so a later chunk's work is about %.2f ms; fork cost %.2f ms: %d process(es)",
+        trial_s * 1e3, work_s * 1e3, FORK_COST_S * 1e3, workers if forked else 1,
+    )
+    if not forked:
+        # iter(first): chain keeps its arguments, and an exhausted list
+        # iterator lets go of trial 0's row
+        return chain(iter(first), chunk(range(1, samples)))
     # "fork", named because Python 3.14 defaults to "forkserver": a spawned
     # worker would import numpy and scipy again on every call
     ctx = multiprocessing.get_context("fork")
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
             stream.flush()  # a child flushes its copy of the buffers on exit
-    bounds = [samples * w // workers for w in range(workers + 1)]
     children = []
     try:
         for lo, hi in zip(bounds[1:], bounds[2:]):
@@ -249,7 +290,7 @@ def _run_trials(chunk, samples):
             children.append((child, recv))
             child.start()
             send.close()
-        results = [(list(chunk(range(bounds[1]))), None)]
+        results = [(first + list(chunk(range(1, bounds[1]))), None)]
         for child, recv in children:
             try:
                 results.append(recv.recv())
@@ -279,11 +320,13 @@ def _trial_rows(name, row, n, m, d1, d2, method, seed, samples, eigensolve=False
     seed and an unknown method are refused before any graph is sampled or
     worker forks.
 
-    Workers run whole trials unless row eigensolves.  LAPACK then runs only
-    in this process: OpenBLAS eigenvalues depend on its thread count, and
-    eigensolves in two processes oversubscribe the cores (the n = 2000 solve
-    went from 0.5 s to 7.3 s).  So workers only sample, and only for the
-    switch chain; a stub-matched trial is nearly all eigensolve.
+    The trials go to _run_trials, which forks workers only where its timing
+    of trial 0 says they pay.  Workers run whole trials unless row
+    eigensolves.  LAPACK then runs only in this process: OpenBLAS
+    eigenvalues depend on its thread count, and eigensolves in two processes
+    oversubscribe the cores (the n = 2000 solve went from 0.5 s to 7.3 s).
+    So workers only sample, and only for the switch chain, where trial 0
+    times the sampling alone; a stub-matched trial is nearly all eigensolve.
     """
     check_sizes(n, m, d1, d2)
     for where, key, value, low in ((f"{name} params", "samples", samples, 1), ("config", "seed", seed, 0)):
@@ -293,8 +336,8 @@ def _trial_rows(name, row, n, m, d1, d2, method, seed, samples, eigensolve=False
     graphs = partial(_trial_graphs, n, m, d1, d2, config, seed)
     if not eigensolve:
         return list(_run_trials(lambda trials: map(row, graphs(trials)), samples))
-    chain = config.resolve_method(n, m, d1, d2) == "switch-chain"
-    return list(map(row, _run_trials(graphs, samples) if chain else graphs(range(samples))))
+    switch_chain = config.resolve_method(n, m, d1, d2) == "switch-chain"
+    return list(map(row, _run_trials(graphs, samples) if switch_chain else graphs(range(samples))))
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +497,15 @@ def fluctuation_experiment_growing(
     ys = np.array(ys, dtype=float)
     statistics = {}
     distances = {}
+    # one sample has no ddof=1 spread: nan, as from moments(), and no numpy warning
     for i, e in enumerate(exps):
         target = chebyshev.sigma_f(e)
         col = ys[:, i]
         statistics[f"Y{i}"] = {
             "mean": float(col.mean()),
-            "variance": float(col.var(ddof=1)),
+            "variance": float(col.var(ddof=1)) if samples > 1 else math.nan,
             "target_variance": target,
-            "stderr": float(col.std(ddof=1) / math.sqrt(samples)),
+            "stderr": float(col.std(ddof=1) / math.sqrt(samples)) if samples > 1 else math.nan,
         }
         if target > 0:
             distances[f"ks_gaussian_Y{i}"] = spectra.ks_statistic(
@@ -469,7 +513,7 @@ def fluctuation_experiment_growing(
             )
     for i in range(len(exps)):
         for j in range(i + 1, len(exps)):
-            emp = float(np.cov(ys[:, i], ys[:, j], ddof=1)[0, 1])
+            emp = float(np.cov(ys[:, i], ys[:, j], ddof=1)[0, 1]) if samples > 1 else math.nan
             statistics[f"cov_Y{i}_Y{j}"] = {
                 "empirical": emp,
                 "target": chebyshev.cov_fg(exps[i], exps[j]),

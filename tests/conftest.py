@@ -1,6 +1,6 @@
 import pytest
 
-from bireg import walks
+from bireg import experiments, walks
 from bireg.graph import BiregularGraph, complete_bipartite
 from bireg.sampler import sample_configuration, trial_rng
 
@@ -42,3 +42,10 @@ def recurrence_calls(monkeypatch):
 
     monkeypatch.setattr(walks, "_u_matrices", counted)
     return calls
+
+
+@pytest.fixture
+def always_fork(monkeypatch):
+    """The trial runner forks a child for every later chunk, however little
+    work it estimates; at the default cost a small run never forks."""
+    monkeypatch.setattr(experiments, "FORK_COST_S", 0.0)

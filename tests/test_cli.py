@@ -506,6 +506,7 @@ def test_density_curve_runs_no_eigensolve(tmp_path, monkeypatch):
     assert len(solves) == 1
 
 
+@pytest.mark.usefixtures("always_fork")
 @pytest.mark.parametrize("raising", ["budget", "trial 1 on"])
 def test_a_worker_error_reaches_the_cli_as_with_one_worker(tmp_path, capsys, monkeypatch, raising):
     # (8,8) stub matching at n = 16 accepts about once in e^24.5 pairings, so
@@ -536,6 +537,7 @@ def test_a_worker_error_reaches_the_cli_as_with_one_worker(tmp_path, capsys, mon
     assert errs == [errs[0]] * 3
 
 
+@pytest.mark.usefixtures("always_fork")
 def test_a_worker_that_dies_is_a_typed_error(tmp_path, capsys, monkeypatch):
     # a worker killed before it sends its rows (say, by the OOM killer)
     real = experiments.trial_rng

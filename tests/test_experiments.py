@@ -1,9 +1,12 @@
+import itertools
 import json
+import logging
 import math
 import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 import weakref
 from collections import Counter
 
@@ -352,22 +355,28 @@ def test_a_bad_run_is_refused_before_any_worker_forks(monkeypatch, name, inputs,
             GATE_DIRECT[name](params, seed)
 
 
+DROP_RUNS = {
+    "poisson": lambda: poisson_experiment(30, 30, 3, 3, 3, 3, seed=1),
+    "fluctuation-fixed": lambda: fluctuation_experiment_fixed(30, 3, 3, basis_element("gamma", 3, 3), 3, seed=1),
+    "fluctuation-growing": lambda: fluctuation_experiment_growing(30, 3, 3, [basis_element("phi", 2)], 3, seed=1),
+    "globallaw": lambda: globallaw_experiment(30, 3, 3, 3, "semicircle", seed=1),
+    "globallaw-chain": lambda: globallaw_experiment(30, 3, 3, 3, "semicircle", seed=1, method="switch-chain"),
+}
+
+
 @pytest.mark.parametrize(
-    "run",
-    [
-        lambda: poisson_experiment(30, 30, 3, 3, 3, 3, seed=1),
-        lambda: fluctuation_experiment_fixed(30, 3, 3, basis_element("gamma", 3, 3), 3, seed=1),
-        lambda: fluctuation_experiment_growing(30, 3, 3, [basis_element("phi", 2)], 3, seed=1),
-        lambda: globallaw_experiment(30, 3, 3, 3, "semicircle", seed=1),
-    ],
-    ids=["poisson", "fluctuation-fixed", "fluctuation-growing", "globallaw"],
+    "run, workers",
+    [pytest.param(run, workers, id=name + ("" if workers == 1 else "-2-workers"))
+     for workers in (1, 2) for name, run in DROP_RUNS.items()],
 )
-def test_each_trial_graph_is_dropped_before_the_next_is_sampled(monkeypatch, run):
+def test_each_trial_graph_is_dropped_before_the_next_is_sampled(monkeypatch, run, workers):
     # a graph that outlives its trial pins heap under the next trial's dense
-    # Gram build; globallaw at n = 2000 peaked 30 MiB higher that way.  One
-    # worker runs in process the same chunk function that forked workers run,
-    # and only there can the patched sampler below see the trials.
-    monkeypatch.setattr(experiments, "_cpu_count", lambda: 1)
+    # Gram build; globallaw at n = 2000 peaked 30 MiB higher that way.  A
+    # clock that stands still keeps the trials in process with either worker
+    # count, through the same chunk function that forked workers run, and
+    # only there can the patched sampler below see the trials.
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(experiments, "perf_counter", lambda: 0.0)
     refs, alive = [], []
     sample_graph = experiments.sample_graph
 
@@ -399,18 +408,26 @@ WORKER_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", WORKER_CONFIGS)
-def test_reports_are_byte_identical_for_any_worker_count(tmp_path, monkeypatch, name):
+def _reports(tmp_path, monkeypatch, config, workers_list):
+    """The report bytes of config run with each worker count in turn."""
     reports = []
-    for workers in (1, 2, 3):
+    for workers in workers_list:
         monkeypatch.setattr(experiments, "_cpu_count", lambda: workers)
         path = tmp_path / f"{workers}.json"
-        run_experiment(WORKER_CONFIGS[name]).save(path)
+        run_experiment(config).save(path)
         reports.append(path.read_bytes())
         assert multiprocessing.active_children() == []
+    return reports
+
+
+@pytest.mark.usefixtures("always_fork")
+@pytest.mark.parametrize("name", WORKER_CONFIGS)
+def test_reports_are_byte_identical_for_any_worker_count(tmp_path, monkeypatch, name):
+    reports = _reports(tmp_path, monkeypatch, WORKER_CONFIGS[name], (1, 2, 3))
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+@pytest.mark.usefixtures("always_fork")
 @pytest.mark.parametrize("name", WORKER_CONFIGS)
 def test_workers_sample_and_only_this_process_eigensolves(monkeypatch, name):
     # LAPACK's eigenvalues depend on its thread count, so no worker may
@@ -444,6 +461,7 @@ def _fail_at(trial):
     return row
 
 
+@pytest.mark.usefixtures("always_fork")
 @pytest.mark.parametrize("trial", [0, 3], ids=["in-this-process", "in-the-child"])
 def test_a_trial_exception_is_raised_as_with_one_worker(monkeypatch, trial):
     # two workers: trials 0-1 run in this process, 2-3 in one forked child.
@@ -458,3 +476,94 @@ def test_a_trial_exception_is_raised_as_with_one_worker(monkeypatch, trial):
         outcomes.append((type(info.value), str(info.value)))
         assert multiprocessing.active_children() == []
     assert outcomes[1] == outcomes[0] == (MalformedInput, f"bad graph at trial {trial}")
+
+
+def _fork_context_process(monkeypatch, started):
+    """Record in started each child the trial runner starts, or fail the test
+    at the first one if started is None."""
+    ctx = multiprocessing.get_context("fork")
+    process = ctx.Process
+
+    def start(*args, **kwargs):
+        if started is None:
+            pytest.fail("forked a child")
+        started.append(1)
+        return process(*args, **kwargs)
+
+    monkeypatch.setattr(ctx, "Process", start)
+
+
+@pytest.mark.parametrize("name", WORKER_CONFIGS)
+def test_a_fast_trial_0_forks_nothing(tmp_path, monkeypatch, name):
+    # a clock that stands still times trial 0 at 0 s, so no chunk's work
+    # reaches the fork cost and two workers run every trial in process
+    monkeypatch.setattr(experiments, "perf_counter", lambda: 0.0)
+    one = _reports(tmp_path, monkeypatch, WORKER_CONFIGS[name], [1])
+    _fork_context_process(monkeypatch, None)
+    assert _reports(tmp_path, monkeypatch, WORKER_CONFIGS[name], [2]) == one
+
+
+def test_a_fast_chunk_runs_in_process_at_the_default_cost(monkeypatch):
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    _fork_context_process(monkeypatch, None)
+    assert list(experiments._run_trials(lambda trials: map(abs, trials), 50)) == list(range(50))
+
+
+@pytest.mark.parametrize("name", ["poisson", "fixed-walks", "growing-chain"])
+def test_a_slow_trial_0_forks_and_the_rows_are_unchanged(tmp_path, monkeypatch, name):
+    # a clock that moves 1 s a reading times trial 0 at 1 s, above the cost
+    one = _reports(tmp_path, monkeypatch, WORKER_CONFIGS[name], [1])
+    clock = itertools.count()
+    monkeypatch.setattr(experiments, "perf_counter", lambda: float(next(clock)))
+    started = []
+    _fork_context_process(monkeypatch, started)
+    assert _reports(tmp_path, monkeypatch, WORKER_CONFIGS[name], [2, 3]) == one * 2
+    assert started == [1] * 3
+
+
+@pytest.mark.usefixtures("always_fork")
+def test_an_exception_in_trial_0_is_raised_before_any_child_forks(monkeypatch):
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(experiments, "cycle_count_vector", _fail_at(0))
+    _fork_context_process(monkeypatch, None)
+    with pytest.raises(MalformedInput, match="^bad graph at trial 0$"):
+        poisson_experiment(30, 30, 3, 3, 3, 4, seed=1)
+
+
+def test_the_runner_logs_its_decision_at_debug(monkeypatch, caplog):
+    # samples 5 on two workers: chunks [0, 2) and [2, 5); trial 0 takes 4 ms
+    monkeypatch.setattr(experiments, "_cpu_count", lambda: 2)
+    clock = itertools.count(0.0, 0.004)
+    monkeypatch.setattr(experiments, "perf_counter", lambda: next(clock))
+    with caplog.at_level(logging.DEBUG, logger="bireg.experiments"):
+        assert list(experiments._run_trials(lambda trials: map(abs, trials), 5)) == list(range(5))
+    cost = experiments.FORK_COST_S * 1e3
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [(
+        logging.DEBUG,
+        f"trial 0 took 4.00 ms, so a later chunk's work is about 12.00 ms; fork cost {cost:.2f} ms: 1 process(es)",
+    )]
+
+
+def test_the_runner_writes_nothing_unless_logging_is_configured():
+    script = (
+        "from bireg import experiments\n"
+        "experiments._cpu_count = lambda: 2\n"
+        "assert list(experiments._run_trials(lambda trials: map(abs, trials), 5)) == [0, 1, 2, 3, 4]\n"
+    )
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+
+
+def test_one_sample_statistics_are_nan_without_a_warning():
+    # ddof=1 statistics of one sample are nan in every experiment, and none
+    # of them may warn on stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        growing = fluctuation_experiment_growing(
+            30, 3, 3, [basis_element("phi", 2), basis_element("phi", 3)], samples=1, seed=1)
+        poisson_experiment(30, 30, 3, 3, 3, 1, seed=1)
+        fluctuation_experiment_fixed(30, 3, 3, basis_element("gamma", 3, 3), 1, seed=1)
+    spreads = (("Y0", "variance"), ("Y0", "stderr"), ("Y1", "variance"), ("Y1", "stderr"), ("cov_Y0_Y1", "empirical"))
+    assert all(math.isnan(growing.statistics[key][field]) for key, field in spreads)

@@ -6,6 +6,7 @@
 Checks out <rev> in a temporary git worktree, then runs a fixed list of
 outputs once on each tree, each in a fresh Python process with PYTHONPATH on
 that tree's src/: all four experiments on both samplers at 1 and 2 workers,
+one ``poisson`` run large enough that its 2-worker run forks a child,
 ``walks`` tables, ``hypergraph check``, ``switchings`` tables, the
 ``valid_switchings`` spec lists of criterion-9 graphs, ``sample`` JSON,
 ``spectrum`` output and ``spectrum --density`` curves.  The child process
@@ -64,6 +65,10 @@ EXPERIMENTS = [
     ("globallaw", {"n": 120, "d1": 4, "d2": 3, "samples": 4, "model": "fixed-degree"}),
 ]
 
+# the runs above are too small to fork; a child's 100 trials of this run, at
+# about 0.5 ms each on a 2-vCPU host, clear experiments.FORK_COST_S
+FORKED = ("poisson", {"n": 300, "m": 300, "d1": 3, "d2": 3, "r": 3, "samples": 200, "keep_samples": True})
+
 # a (3,4)-biregular graph with n != m, written to g.json
 SAMPLE = 'run("sample", "--n", 40, "--m", 30, "--d1", 3, "--d2", 4, "--seed", 5, "--out", "g.json")\n'
 SWITCHING_GRAPH = 'run("sample", "--n", 12, "--m", 12, "--d1", 3, "--d2", 3, "--seed", 3, "--out", "g.json")\n'
@@ -92,6 +97,7 @@ def outputs() -> list:
                 label = name + (" use_eigenvalues" if params.get("use_eigenvalues") else "")
                 code = f"experiment({name!r}, {dict(params, method=method)!r})"
                 out.append((f"experiment {label} {method} workers={workers}", workers, code))
+    out.append(("experiment poisson (3,3,300) samples=200 workers=2", 2, f"experiment(*{FORKED!r})"))
     for method in ("exact-rejection", "switch-chain"):
         code = f'run("sample", "--n", 40, "--m", 30, "--d1", 3, "--d2", 4, "--seed", 5, "--method", {method!r}, "--out", "g.json")\nshow("g.json")'
         out.append((f"sample {method}", 1, code))
