@@ -58,7 +58,6 @@ from .switching import (
     SwitchingSpec,
     apply_backward,
     apply_forward,
-    count_valid_switchings,
     short_cycles,
     valid_switchings,
 )

@@ -115,8 +115,8 @@ def _cmd_switchings(args):
     for alpha in switching.short_cycles(g, args.r):
         if args.kmax and alpha.k > args.kmax:
             continue
-        f = switching.count_valid_switchings(g, alpha, args.r, "forward", budget=args.budget)
-        b = switching.count_valid_switchings(g, alpha, args.r, "backward", budget=args.budget)
+        f = len(switching.valid_switchings(g, alpha, args.r, "forward", budget=args.budget))
+        b = len(switching.valid_switchings(g, alpha, args.r, "backward", budget=args.budget))
         rows.append(
             (
                 "-".join(map(str, alpha.vertices)),

@@ -20,6 +20,8 @@ and added edge sets), which subsumes the relabelings of alpha.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import EdgeMissing, PreconditionViolated, TooLarge
@@ -179,10 +181,8 @@ def _spend(budget_state, units):
 
 def _cycles_through_edge(adj1, adj2, a, b, rmax, budget_state):
     """Canonical vertex tuples of simple cycles of length <= 2*rmax through
-    edge (a, b), a in V1, b in V2, in the graph given by adjacency sets.
-    Each DFS step costs one unit of budget_state."""
-
-    found = []
+    edge (a, b), a in V1, b in V2, in the graph given by adjacency sets,
+    yielded as the DFS finds them."""
 
     def walk(path_x, path_y, at_v1):
         # path alternates b -> x -> y -> ... ; closes when reaching `a`
@@ -192,24 +192,23 @@ def _cycles_through_edge(adj1, adj2, a, b, rmax, budget_state):
             for x in adj2[y]:
                 if x == a and len(path_y) >= 2:
                     xs = [a] + path_x
-                    found.append(_canonical(tuple(v for p in zip(xs, path_y) for v in p)))
+                    yield _canonical(tuple(v for p in zip(xs, path_y) for v in p))
                     continue
                 if x == a or x in path_x:
                     continue
                 if len(path_y) < rmax:
-                    walk(path_x + [x], path_y, False)
+                    yield from walk(path_x + [x], path_y, False)
         else:
             x = path_x[-1]
             for y in adj1[x]:
                 if y in path_y:
                     continue
-                walk(path_x, path_y + [y], True)
+                yield from walk(path_x, path_y + [y], True)
 
     # first V1 step away from the edge (a, b)
     for x in adj2[b]:
         if x != a:
-            walk([x], [b], False)
-    return found
+            yield from walk([x], [b], False)
 
 
 def _adjacency_sets(g):
@@ -235,7 +234,6 @@ def _creations_ok(adj, removed, added, r, expect, budget_state):
 
     adj holds the adjacency sets of g; removed are distinct edges of g and
     added distinct non-edges, so rewiring adj in place and back restores it.
-    Each edited edge costs one unit of budget_state.
     """
     _spend(budget_state, len(removed) + len(added))
     _rewire(adj, removed, added)
@@ -257,7 +255,18 @@ def valid_switchings(
     complete bipartite host and enumerates switchings creating it.
     Switchings performing the same rewiring are identified (this subsumes
     relabelings of alpha under rotation and inversion), and each distinct
-    rewiring is checked once.
+    rewiring is checked once.  A rewiring is represented by its first label
+    choice in enumeration order (``itertools.product`` order over the
+    choices of ``_forward_candidates`` or ``_backward_candidates``), and the
+    list is in the order of those first choices.
+
+    The budget counts units of work, and TooLarge is raised once more than
+    `budget` are spent: forward, one unit per label tuple of the product
+    over the auxiliary-edge options, charged before the tuples are built;
+    one unit per candidate pair (e, e'); and for each distinct rewiring
+    that the rewiring rule admits, one unit per edited edge and one per
+    step of its cycle searches.  Listing the short cycles of g has its own
+    budget of the same size.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -276,6 +285,7 @@ def valid_switchings(
     # of the same lengths, so the two edge sets alone decide validity
     verdicts = {}
     for e, ep, deleted, created in candidates(g, alpha, cycle_edges, adj, budget_state):
+        _spend(budget_state, 1)
         key = (frozenset(deleted), frozenset(created))
         if key not in verdicts:
             ok = _breach(g, deleted, created) is None and _creations_ok(adj, deleted, created, r, expect, budget_state)
@@ -283,38 +293,12 @@ def valid_switchings(
     return [spec for spec in verdicts.values() if spec is not None]
 
 
-def count_valid_switchings(
-    g: BiregularGraph, alpha: Cycle, r: int, direction: str, budget: int = SWITCH_BUDGET
-) -> int:
-    """Number of valid switchings for alpha (see valid_switchings)."""
-    return len(valid_switchings(g, alpha, r, direction, budget))
-
-
-def _distinct_tuples(options, key, budget_state):
-    """All ways to pick one edge per index with pairwise-distinct key(edge)."""
-    k = len(options)
-    out = []
-
-    def rec(i, acc, used):
-        _spend(budget_state, 1)
-        if i == k:
-            out.append(tuple(acc))
-            return
-        for edge in options[i]:
-            kk = key(edge)
-            if kk in used:
-                continue
-            rec(i + 1, acc + [edge], used | {kk})
-
-    rec(0, [], frozenset())
-    return out
-
-
 def _forward_candidates(g, alpha, cycle_edges, adj, budget_state):
     """(e, e', deleted, created) for the auxiliary edges that could delete
-    alpha.  They are free (on no short cycle, so never alpha's) and miss the
-    cycle vertex they join, so no created edge is in g; the rewiring rule
-    still refuses e and e' sharing an edge, and colliding created edges."""
+    alpha: e has distinct V1 ends and e' distinct V2 ends.  They are free
+    (on no short cycle, so never alpha's) and miss the cycle vertex they
+    join, so no created edge is in g; the rewiring rule still refuses e and
+    e' sharing an edge, and colliding created edges."""
     if not alpha.contained_in(g):
         raise EdgeMissing("alpha is not a cycle of the graph")
     alpha_key = alpha.vertices
@@ -322,44 +306,37 @@ def _forward_candidates(g, alpha, cycle_edges, adj, budget_state):
     for e in alpha.edge_list():
         if cycle_edges.get(e, set()) - {alpha_key}:
             return
-    xs, ys = alpha.xs, alpha.ys
+    xs, ys, k = alpha.xs, alpha.ys, alpha.k
     free_edges = [e for e in g.edges if e not in cycle_edges]
     adj1, adj2 = adj
     options = [
         [(u, v) for u, v in free_edges if u not in adj2[y] and v not in adj1[x]] for x, y in zip(xs, ys)
     ]
-    e_tuples = _distinct_tuples(options, key=lambda e: e[0], budget_state=budget_state)
-    ep_tuples = _distinct_tuples(options, key=lambda e: e[1], budget_state=budget_state)
+    _spend(budget_state, math.prod(len(o) for o in options))
+    tuples = list(itertools.product(*options))
+    e_tuples = [t for t in tuples if len({u for u, _ in t}) == k]
+    ep_tuples = [t for t in tuples if len({v for _, v in t}) == k]
     alpha_deleted = alpha.edge_list()
     for et in e_tuples:
         for ept in ep_tuples:
-            _spend(budget_state, 1)
             yield et, ept, alpha_deleted + list(et) + list(ept), _added_forward(xs, ys, et, ept)
 
 
 def _backward_candidates(g, alpha, cycle_edges, adj, budget_state):
-    """(e, e', deleted, created) for the paths that could create alpha."""
-    xs, ys, k = alpha.xs, alpha.ys, alpha.k
-    # paths v_i x_i v'_i: ordered pairs of distinct neighbours of x_i whose
-    # edges lie on no short cycle (they get deleted)
-    v_opts, u_opts = [], []
-    for i in range(k):
-        vs = [v for v in g.adjacency_left[xs[i]].tolist() if (xs[i], v) not in cycle_edges]
-        us = [u for u in g.adjacency_right[ys[i]].tolist() if (u, ys[i]) not in cycle_edges]
-        v_opts.append([(v, vp) for v in vs for vp in vs if v != vp])
-        u_opts.append([(u, up) for u in us for up in us if u != up])
+    """(e, e', deleted, created) for the paths that could create alpha.
+
+    Level i picks the paths v_i x_i v'_i and u_i y_i u'_i from edges on no
+    short cycle (they get deleted).  Swapping v_i with v'_i and u_i with u'_i
+    together gives the same rewiring, and that labelling comes later in
+    product order, so {v_i, v'_i} is taken as a combination."""
+    xs, ys = alpha.xs, alpha.ys
+    levels = []
+    for x, y in zip(xs, ys):
+        vs = [v for v in g.adjacency_left[x].tolist() if (x, v) not in cycle_edges]
+        us = [u for u in g.adjacency_right[y].tolist() if (u, y) not in cycle_edges]
+        levels.append(itertools.product(itertools.combinations(vs, 2), itertools.permutations(us, 2)))
     alpha_created = alpha.edge_list()
-
-    def pairs(level, acc):
-        if level == k:
-            yield tuple(acc)
-            return
-        for vv in v_opts[level]:
-            for uu in u_opts[level]:
-                _spend(budget_state, 1)
-                yield from pairs(level + 1, acc + [(vv, uu)])
-
-    for choice in pairs(0, []):
+    for choice in itertools.product(*levels):
         e = tuple((u, v) for (v, _), (u, _) in choice)
         ep = tuple((up, vp) for (_, vp), (_, up) in choice)
         created = alpha_created + [edge for pair in zip(e, ep) for edge in pair]

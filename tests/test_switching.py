@@ -13,7 +13,6 @@ from bireg.switching import (
     apply_backward,
     apply_forward,
     backward_bound,
-    count_valid_switchings,
     forward_bound,
     short_cycles,
     valid_switchings,
@@ -208,8 +207,9 @@ def _tuples_with_distinct(edges, k, keyfun):
 
 
 def _forward_oracle(g, alpha, r):
+    """(e, e_prime) of the first labelling of each valid rewiring, in order."""
     shorts_g = {c.vertices for c in short_cycles(g, r)}
-    ops = set()
+    ops = {}
     for et in _tuples_with_distinct(list(g.edges), alpha.k, lambda e: e[0]):
         for ept in _tuples_with_distinct(list(g.edges), alpha.k, lambda e: e[1]):
             spec = SwitchingSpec(alpha, et, ept)
@@ -219,13 +219,15 @@ def _forward_oracle(g, alpha, r):
                 continue
             shorts2 = {c.vertices for c in short_cycles(g2, r)}
             if shorts_g - shorts2 == {alpha.vertices} and not (shorts2 - shorts_g):
-                ops.add((frozenset(spec.removed_forward()), frozenset(spec.added_forward())))
-    return len(ops)
+                ops.setdefault((frozenset(spec.removed_forward()), frozenset(spec.added_forward())), spec)
+    return [(spec.e, spec.e_prime) for spec in ops.values()]
 
 
 def _backward_oracle(g, alpha, r):
+    """(e, e_prime) of the first labelling of each valid rewiring, as a set:
+    all v choices are looped over before any u choice."""
     shorts_g = {c.vertices for c in short_cycles(g, r)}
-    ops = set()
+    ops = {}
     k = alpha.k
     xs, ys = alpha.xs, alpha.ys
     vopts = [list(itertools.permutations(g.adjacency_left[xs[i]], 2)) for i in range(k)]
@@ -241,8 +243,8 @@ def _backward_oracle(g, alpha, r):
                 continue
             shorts2 = {c.vertices for c in short_cycles(g2, r)}
             if shorts2 - shorts_g == {alpha.vertices} and not (shorts_g - shorts2):
-                ops.add((frozenset(spec.added_forward()), frozenset(spec.removed_forward())))
-    return len(ops)
+                ops.setdefault((frozenset(spec.added_forward()), frozenset(spec.removed_forward())), spec)
+    return {(spec.e, spec.e_prime) for spec in ops.values()}
 
 
 def test_forward_count_matches_definitional_oracle():
@@ -256,7 +258,8 @@ def test_forward_count_matches_definitional_oracle():
         if not cycles:
             continue
         alpha = cycles[0]
-        assert count_valid_switchings(g, alpha, 2, "forward") == _forward_oracle(g, alpha, 2)
+        specs = valid_switchings(g, alpha, 2, "forward")
+        assert [(s.e, s.e_prime) for s in specs] == _forward_oracle(g, alpha, 2)
         compared += 1
     assert compared == 2
 
@@ -270,9 +273,11 @@ def test_backward_count_matches_definitional_oracle():
         xs = pyr.sample(range(10), 2)
         ys = pyr.sample(range(10), 2)
         alpha = Cycle((xs[0], ys[0], xs[1], ys[1]))
-        fast = count_valid_switchings(g, alpha, 2, "backward")
-        assert fast == _backward_oracle(g, alpha, 2)
-        nonzero += fast > 0
+        specs = valid_switchings(g, alpha, 2, "backward")
+        oracle = _backward_oracle(g, alpha, 2)
+        assert len(specs) == len(oracle)
+        assert {(s.e, s.e_prime) for s in specs} == oracle
+        nonzero += len(specs) > 0
     assert nonzero >= 1
 
 
@@ -297,35 +302,59 @@ def test_validity_changes_only_alpha():
 def test_counts_respect_upper_bounds():
     for g in random_corpus(5, 12, 12, 3, 3, seed=91):
         for alpha in short_cycles(g, 3):
-            f = count_valid_switchings(g, alpha, 3, "forward")
+            f = len(valid_switchings(g, alpha, 3, "forward"))
             assert f <= forward_bound(g.n, g.m, g.d1, g.d2, alpha.k)
-            b = count_valid_switchings(g, alpha, 3, "backward")
+            b = len(valid_switchings(g, alpha, 3, "backward"))
             assert b <= backward_bound(g.d1, g.d2, alpha.k)
 
 
 def test_forward_requires_alpha_in_graph(hexagon):
     alpha = Cycle((0, 0, 1, 1))  # not a cycle of the hexagon
     with pytest.raises(EdgeMissing):
-        count_valid_switchings(hexagon, alpha, 2, "forward")
+        valid_switchings(hexagon, alpha, 2, "forward")
 
 
-def test_enumeration_budget():
-    g = sample_configuration(10, 10, 2, 2, trial_rng(1234, 0))
-    cycles = None
+def _first_graph_with_a_4_cycle():
     rng = trial_rng(1234)
     while True:
         g = sample_configuration(10, 10, 2, 2, rng)
         cycles = short_cycles(g, 2)
         if cycles:
-            break
+            return g, cycles[0]
+
+
+def test_enumeration_budget():
+    g, alpha = _first_graph_with_a_4_cycle()
     with pytest.raises(TooLarge):
-        count_valid_switchings(g, cycles[0], 2, "forward", budget=20)
+        valid_switchings(g, alpha, 2, "forward", budget=20)
+
+
+def test_budget_is_the_units_charged(monkeypatch):
+    # a budget of exactly the units a complete enumeration charges suffices,
+    # and one unit less does not
+    g, alpha = _first_graph_with_a_4_cycle()
+    charged = []
+    spend = switching._spend
+
+    def counted(budget_state, units):
+        charged.append(units)
+        spend(budget_state, units)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(switching, "_spend", counted)
+        specs = valid_switchings(g, alpha, 2, "forward")
+    units = sum(charged)
+    assert specs and units > len(specs)
+    assert valid_switchings(g, alpha, 2, "forward", budget=units) == specs
+    with pytest.raises(TooLarge):
+        valid_switchings(g, alpha, 2, "forward", budget=units - 1)
 
 
 def test_budget_counts_the_cycle_searches(monkeypatch):
     # the graph of `bireg sample --n 60 --m 40 --d1 4 --d2 6 --seed 0`; the
     # forward count of this 4-cycle needs far more work than the budget, and
-    # each tuple pair that passes the cheap filters runs up to 4k cycle searches
+    # each distinct rewiring that the rewiring rule admits runs up to 4k cycle
+    # searches
     g = sample_graph(60, 40, 4, 6, SamplerConfig(seed=0), trial_rng(0))
     alpha = Cycle((2, 16, 57, 18))
     budget = 10**5

@@ -7,9 +7,10 @@ Checks out <rev> in a temporary git worktree, then runs a fixed list of
 outputs once on each tree, each in a fresh Python process with PYTHONPATH on
 that tree's src/: all four experiments on both samplers at 1 and 2 workers,
 one ``poisson`` run large enough that its 2-worker run forks a child,
-``walks`` tables, ``hypergraph check``, ``switchings`` tables, the
-``valid_switchings`` spec lists of criterion-9 graphs, ``sample`` JSON,
-``spectrum`` output and ``spectrum --density`` curves.  The child process
+``walks`` tables, ``hypergraph check``, ``switchings`` tables, forward and
+backward ``valid_switchings`` spec lists of criterion-9 and sparse (2,2)
+graphs, ``sample`` JSON, ``spectrum`` output and ``spectrum --density``
+curves.  The child process
 sets its worker count through its CPU affinity; on a 1-CPU host the 2-worker
 runs are skipped.
 
@@ -72,13 +73,16 @@ FORKED = ("poisson", {"n": 300, "m": 300, "d1": 3, "d2": 3, "r": 3, "samples": 2
 # a (3,4)-biregular graph with n != m, written to g.json
 SAMPLE = 'run("sample", "--n", 40, "--m", 30, "--d1", 3, "--d2", 4, "--seed", 5, "--out", "g.json")\n'
 SWITCHING_GRAPH = 'run("sample", "--n", 12, "--m", 12, "--d1", 3, "--d2", 3, "--seed", 3, "--out", "g.json")\n'
-SPEC_LISTS = """
+SPECS = """
 from bireg.sampler import sample_configuration, trial_rng
 from bireg.switching import Cycle, short_cycles, valid_switchings
 
 def spec(s):
-    return (s.alpha.vertices, tuple(map(int, s.e)), tuple(map(int, s.e_prime)))
-
+    return (s.alpha.vertices, s.e, s.e_prime)
+"""
+# the criterion-9 graphs: at r = 3 every list is empty, so the r = 2 forward
+# lists (3048 specs) are what compares the enumeration
+SPEC_LISTS = SPECS + """
 for t in range(3):
     g = sample_configuration(12, 12, 3, 3, trial_rng(3000, t), 10**5)
     for alpha in short_cycles(g, 3):
@@ -86,7 +90,20 @@ for t in range(3):
     for alpha in (Cycle((0, 0, 1, 1)), Cycle((0, 2, 5, 7, 9, 4))):
         print("backward", alpha.vertices, [spec(s) for s in valid_switchings(g, alpha, 3, "backward")])
 """
-
+FORWARD_R2 = SPECS + """
+for t in range(3):
+    g = sample_configuration(12, 12, 3, 3, trial_rng(3000, t), 10**5)
+    for alpha in short_cycles(g, 2):
+        print("forward", alpha.vertices, [spec(s) for s in valid_switchings(g, alpha, 2, "forward")])
+"""
+# sparse (2,2) graphs, on which backward switchings exist (13 specs)
+BACKWARD = SPECS + """
+for t in range(5):
+    g = sample_configuration(10, 10, 2, 2, trial_rng(99, t))
+    for alpha in (Cycle((0, 0, 1, 1)), Cycle((2, 3, 5, 7)), Cycle((0, 2, 5, 7, 9, 4))):
+        for r in range(alpha.k, 4):
+            print("backward", r, alpha.vertices, [spec(s) for s in valid_switchings(g, alpha, r, "backward")])
+"""
 
 def outputs() -> list:
     """(name, workers, code) of every output, in report order."""
@@ -118,6 +135,8 @@ def outputs() -> list:
     for r in (2, 3):
         out.append((f"switchings r={r}", 1, SWITCHING_GRAPH + f'run("switchings", "--in", "g.json", "--r", {r})'))
     out.append(("valid_switchings spec lists", 1, SPEC_LISTS))
+    out.append(("valid_switchings forward r=2 spec lists", 1, FORWARD_R2))
+    out.append(("valid_switchings backward spec lists (10,10,2,2)", 1, BACKWARD))
     return out
 
 
