@@ -325,8 +325,8 @@ def _trial_rows(name, row, n, m, d1, d2, method, seed, samples, eigensolve=False
     eigensolves.  LAPACK then runs only in this process: OpenBLAS
     eigenvalues depend on its thread count, and eigensolves in two processes
     oversubscribe the cores (the n = 2000 solve went from 0.5 s to 7.3 s).
-    So workers only sample, and only for the switch chain, where trial 0
-    times the sampling alone; a stub-matched trial is nearly all eigensolve.
+    So workers only sample, and trial 0 times the sampling alone: the ~1 ms
+    stub matching stays in this process, and the switch chain forks.
     """
     check_sizes(n, m, d1, d2)
     for where, key, value, low in ((f"{name} params", "samples", samples, 1), ("config", "seed", seed, 0)):
@@ -336,8 +336,7 @@ def _trial_rows(name, row, n, m, d1, d2, method, seed, samples, eigensolve=False
     graphs = partial(_trial_graphs, n, m, d1, d2, config, seed)
     if not eigensolve:
         return list(_run_trials(lambda trials: map(row, graphs(trials)), samples))
-    switch_chain = config.resolve_method(n, m, d1, d2) == "switch-chain"
-    return list(map(row, _run_trials(graphs, samples) if switch_chain else graphs(range(samples))))
+    return list(map(row, _run_trials(graphs, samples)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ A switching is *valid* for horizon r when alpha is the only cycle of length
 <= 2r created or destroyed.  Validity is checked operationally: the short
 cycles destroyed are read off a precomputed edge-to-cycle index, and the
 cycles created are enumerated through the added edges in the rewired graph.
-Counting identifies switchings that perform the same rewiring (same removed
-and added edge sets), which subsumes the relabelings of alpha.
 """
 
 from __future__ import annotations
@@ -252,21 +250,34 @@ def valid_switchings(
 
     direction="forward" requires alpha to be a cycle of g and enumerates
     switchings deleting it; direction="backward" takes any cycle of the
-    complete bipartite host and enumerates switchings creating it.
-    Switchings performing the same rewiring are identified (this subsumes
-    relabelings of alpha under rotation and inversion), and each distinct
-    rewiring is checked once.  A rewiring is represented by its first label
-    choice in enumeration order (``itertools.product`` order over the
-    choices of ``_forward_candidates`` or ``_backward_candidates``), and the
-    list is in the order of those first choices.
+    complete bipartite host and enumerates switchings creating it.  Each
+    rewiring (deleted and created edge sets) comes once, as its first label
+    choice in ``itertools.product`` order; the forward list is sorted by (e, e').
+
+    Forward, a candidate is a pair {e_i, e'_i} per level i, as swapping e_i
+    and e'_i changes neither set.  Suppose pair choices P != Q that the
+    rewiring rule admits perform one rewiring.  They delete the same free
+    edges A, on no cycle of length <= 2k: no chord of alpha, and for k = 2
+    off alpha.  c = (u, v) at level j creates (x_j, v) and (u, y_j), so the
+    levels of A's edges at a vertex off alpha are distinct and set by the
+    rewiring.  Let a in A have level l in P, l' != l in Q.  If a = (x_p, w),
+    some b != a at w has P-level l', so another Q-level, and is off alpha,
+    else a, b and an arc of alpha close a cycle; so (likewise for
+    a = (w, y_q)) let a = (u, v) be off alpha.  Then b = (u_b, v) and
+    b' = (u, v') of P-level l' are P's level-l' pair; let {a, d} be Q's.  If
+    b, b' are off alpha, P's created (x_l', v') and (u_b, y_l') are Q's, so
+    d = (u_b, v') closes the 4-cycle a b d b'.  If only b' = (u, y_q) meets
+    alpha, u(d) = u_b likewise, Q's (x_l', v(d)) is P's only if v(d) = y_s,
+    and y_q u v u_b y_s closes with an arc (symmetrically if only b does);
+    if both do, x_p v u y_q does.  Arcs within a side have at most
+    2 floor(k/2) edges and across at most k, so each cycle runs through a
+    with length <= 2k.
 
     The budget counts units of work, and TooLarge is raised once more than
-    `budget` are spent: forward, one unit per label tuple of the product
-    over the auxiliary-edge options, charged before the tuples are built;
-    one unit per candidate pair (e, e'); and for each distinct rewiring
-    that the rewiring rule admits, one unit per edited edge and one per
-    step of its cycle searches.  Listing the short cycles of g has its own
-    budget of the same size.
+    `budget` are spent: forward, C(|options_i|, 2) per level before its
+    pairs are built; one per label choice examined, admissible or not; and
+    per rewiring the rule admits, its edited edges and cycle-search steps.
+    Listing the short cycles of g has its own budget of the same size.
     """
     if direction not in ("forward", "backward"):
         raise ValueError("direction must be 'forward' or 'backward'")
@@ -281,24 +292,19 @@ def valid_switchings(
     forward = direction == "forward"
     candidates = _forward_candidates if forward else _backward_candidates
     expect = set() if forward else {alpha.vertices}
-    # rewiring -> its first spec, or None if invalid; all candidates have lists
-    # of the same lengths, so the two edge sets alone decide validity
-    verdicts = {}
-    for e, ep, deleted, created in candidates(g, alpha, cycle_edges, adj, budget_state):
-        _spend(budget_state, 1)
-        key = (frozenset(deleted), frozenset(created))
-        if key not in verdicts:
-            ok = _breach(g, deleted, created) is None and _creations_ok(adj, deleted, created, r, expect, budget_state)
-            verdicts[key] = SwitchingSpec(alpha=alpha, e=e, e_prime=ep) if ok else None
-    return [spec for spec in verdicts.values() if spec is not None]
+    specs = [
+        SwitchingSpec(alpha=alpha, e=e, e_prime=ep)
+        for e, ep, deleted, created in candidates(g, alpha, cycle_edges, adj, budget_state)
+        if _breach(g, deleted, created) is None and _creations_ok(adj, deleted, created, r, expect, budget_state)
+    ]
+    return sorted(specs, key=lambda s: (s.e, s.e_prime)) if forward else specs
 
 
 def _forward_candidates(g, alpha, cycle_edges, adj, budget_state):
-    """(e, e', deleted, created) for the auxiliary edges that could delete
-    alpha: e has distinct V1 ends and e' distinct V2 ends.  They are free
-    (on no short cycle, so never alpha's) and miss the cycle vertex they
-    join, so no created edge is in g; the rewiring rule still refuses e and
-    e' sharing an edge, and colliding created edges."""
+    """(e, e', deleted, created) for each pair choice's first labelling with
+    distinct V1 ends in e and V2 ends in e'.  Free auxiliary edges missing
+    the cycle vertex they join create no edge of g; the rewiring rule still
+    refuses edges chosen twice, and colliding created edges."""
     if not alpha.contained_in(g):
         raise EdgeMissing("alpha is not a cycle of the graph")
     alpha_key = alpha.vertices
@@ -312,14 +318,16 @@ def _forward_candidates(g, alpha, cycle_edges, adj, budget_state):
     options = [
         [(u, v) for u, v in free_edges if u not in adj2[y] and v not in adj1[x]] for x, y in zip(xs, ys)
     ]
-    _spend(budget_state, math.prod(len(o) for o in options))
-    tuples = list(itertools.product(*options))
-    e_tuples = [t for t in tuples if len({u for u, _ in t}) == k]
-    ep_tuples = [t for t in tuples if len({v for _, v in t}) == k]
+    _spend(budget_state, sum(math.comb(len(o), 2) for o in options))
+    flips = list(itertools.product((0, 1), repeat=k))
     alpha_deleted = alpha.edge_list()
-    for et in e_tuples:
-        for ept in ep_tuples:
-            yield et, ept, alpha_deleted + list(et) + list(ept), _added_forward(xs, ys, et, ept)
+    for pairs in itertools.product(*(itertools.combinations(o, 2) for o in options)):
+        _spend(budget_state, 1)
+        for flip in flips:
+            e, ep = zip(*((p[f], p[1 - f]) for p, f in zip(pairs, flip)))
+            if len({u for u, _ in e}) == k and len({v for _, v in ep}) == k:
+                yield e, ep, alpha_deleted + list(e) + list(ep), _added_forward(xs, ys, e, ep)
+                break
 
 
 def _backward_candidates(g, alpha, cycle_edges, adj, budget_state):
@@ -337,6 +345,7 @@ def _backward_candidates(g, alpha, cycle_edges, adj, budget_state):
         levels.append(itertools.product(itertools.combinations(vs, 2), itertools.permutations(us, 2)))
     alpha_created = alpha.edge_list()
     for choice in itertools.product(*levels):
+        _spend(budget_state, 1)
         e = tuple((u, v) for (v, _), (u, _) in choice)
         ep = tuple((up, vp) for (_, vp), (_, up) in choice)
         created = alpha_created + [edge for pair in zip(e, ep) for edge in pair]

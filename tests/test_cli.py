@@ -96,10 +96,10 @@ def test_switchings_audit(tmp_path):
     assert run(["switchings", "--in", str(g), "--r", "2", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     # an exhaustive count of a given graph: no seed, so no "# seed=" line
-    assert lines[0].split("\t") == ["alpha", "k", "F", "F_bound", "B", "B_bound"]
+    assert lines[0].split("\t") == ["alpha", "k", "F", "F_bound"]
     for line in lines[1:]:
-        _, k, f, fb, b, bb = line.split("\t")
-        assert int(f) <= int(fb) and int(b) <= int(bb)
+        _, k, f, fb = line.split("\t")
+        assert int(f) <= int(fb)
 
 
 def test_experiment_config(tmp_path, capsys):

@@ -431,9 +431,8 @@ def test_reports_are_byte_identical_for_any_worker_count(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("name", WORKER_CONFIGS)
 def test_workers_sample_and_only_this_process_eigensolves(monkeypatch, name):
     # LAPACK's eigenvalues depend on its thread count, so no worker may
-    # eigensolve, and a stub-matched eigensolve trial runs in process.  Where
-    # the trials fork, this process samples chunk 0, the first samples // 2
-    # of them, and the child samples the rest
+    # eigensolve.  The trials fork, so this process samples chunk 0, the
+    # first samples // 2 of them, and the child samples the rest
     config = WORKER_CONFIGS[name]
     p = config["params"]
     method = SamplerConfig().resolve_method(p["n"], p.get("m", p["n"] * p["d1"] // p["d2"]), p["d1"], p["d2"])
@@ -445,7 +444,7 @@ def test_workers_sample_and_only_this_process_eigensolves(monkeypatch, name):
     monkeypatch.setattr(experiments, "sample_graph", lambda *a: sampled.append(1) or sample_graph(*a))
     monkeypatch.setattr(experiments.spectra, "eigenvalues", lambda g: solved.append(1) or eigenvalues(g))
     run_experiment(config)
-    assert len(sampled) == (p["samples"] if eigen and method != "switch-chain" else p["samples"] // 2)
+    assert len(sampled) == p["samples"] // 2
     assert len(solved) == (p["samples"] if eigen else 0)
 
 

@@ -265,20 +265,38 @@ def test_forward_count_matches_definitional_oracle():
 
 
 def test_backward_count_matches_definitional_oracle():
+    # 4-cycles at r = 2 on (10,10,2,2) graphs, and 6-cycles at r = 3 on
+    # (20,20,2,2) graphs, where backward 6-cycle switchings are less rare
     rng = trial_rng(99)
     pyr = random.Random(7)
-    nonzero = 0
-    for trial in range(10):
-        g = sample_configuration(10, 10, 2, 2, rng)
-        xs = pyr.sample(range(10), 2)
-        ys = pyr.sample(range(10), 2)
-        alpha = Cycle((xs[0], ys[0], xs[1], ys[1]))
-        specs = valid_switchings(g, alpha, 2, "backward")
-        oracle = _backward_oracle(g, alpha, 2)
-        assert len(specs) == len(oracle)
-        assert {(s.e, s.e_prime) for s in specs} == oracle
-        nonzero += len(specs) > 0
-    assert nonzero >= 1
+    for n, k in ((10, 2), (20, 3)):
+        nonzero = 0
+        for trial in range(10):
+            g = sample_configuration(n, n, 2, 2, rng)
+            xs = pyr.sample(range(n), k)
+            ys = pyr.sample(range(n), k)
+            alpha = Cycle(tuple(v for p in zip(xs, ys) for v in p))
+            specs = valid_switchings(g, alpha, k, "backward")
+            oracle = _backward_oracle(g, alpha, k)
+            assert len(specs) == len(oracle)
+            assert {(s.e, s.e_prime) for s in specs} == oracle
+            nonzero += len(specs) > 0
+        assert nonzero >= 1
+
+
+def test_forward_rewirings_are_distinct():
+    # one spec per pair choice {e_i, e'_i}: on these d >= 3 shapes free edges
+    # end on alpha's vertices, and no two specs perform the same rewiring
+    graphs = [(sample_configuration(12, 12, 3, 3, trial_rng(3000, t), 10**5), 2) for t in range(3)]
+    graphs.append((sample_configuration(12, 8, 2, 3, trial_rng(3100, 0), 10**6), 3))
+    total = 0
+    for g, r in graphs:
+        for alpha in short_cycles(g, r):
+            specs = valid_switchings(g, alpha, r, "forward")
+            rewirings = {(frozenset(s.removed_forward()), frozenset(s.added_forward())) for s in specs}
+            assert len(rewirings) == len(specs)
+            total += len(specs)
+    assert total > 0
 
 
 def test_validity_changes_only_alpha():

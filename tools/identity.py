@@ -9,8 +9,8 @@ that tree's src/: all four experiments on both samplers at 1 and 2 workers,
 one ``poisson`` run large enough that its 2-worker run forks a child,
 ``walks`` tables, ``hypergraph check``, ``switchings`` tables, forward and
 backward ``valid_switchings`` spec lists of criterion-9 and sparse (2,2)
-graphs, ``sample`` JSON, ``spectrum`` output and ``spectrum --density``
-curves.  The child process
+graphs, forward lists of a (12,8,2,3) graph's 6-cycles, ``sample`` JSON,
+``spectrum`` output and ``spectrum --density`` curves.  The child process
 sets its worker count through its CPU affinity; on a 1-CPU host the 2-worker
 runs are skipped.
 
@@ -96,6 +96,14 @@ for t in range(3):
     for alpha in short_cycles(g, 2):
         print("forward", alpha.vertices, [spec(s) for s in valid_switchings(g, alpha, 2, "forward")])
 """
+# the two 6-cycles of a (12,8,2,3) graph, whose r = 3 forward lists (151
+# specs each) pick one of the 2^3 labellings of each pair choice
+FORWARD_K3 = SPECS + """
+g = sample_configuration(12, 8, 2, 3, trial_rng(3100, 0), 10**6)
+for alpha in short_cycles(g, 3):
+    if alpha.k == 3:
+        print("forward", alpha.vertices, [spec(s) for s in valid_switchings(g, alpha, 3, "forward")])
+"""
 # sparse (2,2) graphs, on which backward switchings exist (13 specs)
 BACKWARD = SPECS + """
 for t in range(5):
@@ -136,6 +144,7 @@ def outputs() -> list:
         out.append((f"switchings r={r}", 1, SWITCHING_GRAPH + f'run("switchings", "--in", "g.json", "--r", {r})'))
     out.append(("valid_switchings spec lists", 1, SPEC_LISTS))
     out.append(("valid_switchings forward r=2 spec lists", 1, FORWARD_R2))
+    out.append(("valid_switchings forward k=3 spec lists (12,8,2,3)", 1, FORWARD_K3))
     out.append(("valid_switchings backward spec lists (10,10,2,2)", 1, BACKWARD))
     return out
 
