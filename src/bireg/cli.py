@@ -10,6 +10,7 @@ exit 1 with a diagnostic on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -229,9 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def dispatch(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (BiregError, OSError, ValueError, KeyError) as exc:

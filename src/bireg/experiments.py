@@ -24,7 +24,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain
 from pathlib import Path
 from time import perf_counter
@@ -650,4 +650,13 @@ def _expansion_from_config(name, key, spec, d1, d2):
         raise MalformedInput(f"{name} params key {key!r} = {spec!r}: {exc}") from exc
     if isinstance(f, ChebExpansion):
         return f
-    return chebyshev.fit_expansion(f, basis="phi", d1=d1, d2=d2)
+    return _fitted_builtin(spec, d1, d2)
+
+
+@lru_cache(maxsize=64)
+def _fitted_builtin(spec: str, d1: int, d2: int) -> ChebExpansion:
+    """The builtin function spec fitted in the Phi basis, once per (spec, d1, d2)
+    in a process while it stays among the 64 latest; ChebExpansion is frozen,
+    so the runs can share it.  The bound keeps a process that runs many
+    distinct "poly:..." specs from holding every fit."""
+    return chebyshev.fit_expansion(chebyshev.builtin_function(spec, d1, d2), basis="phi", d1=d1, d2=d2)

@@ -17,9 +17,11 @@ as mutual oracles:
   eigenvalues sqrt(q)*(lambda - (d2-2)/sqrt(q)) (Ihara-Bass form):
   NBW_k = t_k + (d2-2)t_{k-1} - (d2-1)t_{k-2} and
   CNBW_k = t_k - q*t_{k-2} + cnbw_constant(k), the Ihara-Bass constant
-  (|E| - n - m) + (m - n)(1 - d2)^k.  The recurrence runs to ceil(kmax/2)
-  and holds two matrices at a time; each trace is a Frobenius product of
-  the two newest.  ``cnbw_counts_up_to`` returns the CNBW list alone.
+  (|E| - n - m) + (m - n)(1 - d2)^k.  The recurrence runs to
+  h = ceil(kmax/2) and holds two matrices at a time; t_k for k <= h is the
+  trace of U_k, and each later t_k a Frobenius product of the two newest,
+  floor(kmax/2) products in all.  ``cnbw_counts_up_to`` returns the CNBW
+  list alone.
 * ``brute_force_walks`` -- evaluates the same two lists from scratch:
   exhaustive DFS over *plain* closed walks (the only constraint being that
   consecutive V1 vertices differ), a binomial shift of their counts to
@@ -33,12 +35,12 @@ the experiments and the hypergraph layer all take C_k from it, and
 ``cycle_traversals`` gives the cycle part sum_{j | k} 2j*C_j of CNBW_k.
 The closed forms share no code with the oracles, which check them.
 
-All counts are exact.  Each recurrence step, each Frobenius product and the
-one trace run in the narrowest of four tiers that a bound on their partial
+All counts are exact.  Each recurrence step, each Frobenius product and
+each trace run in the narrowest of four tiers that a bound on their partial
 sums allows: int16 below 2^15, int32 below 2^31, int64 below 2^62, and
 Python-int (object) arrays above.  The step bound is
 (d1(d2-1) + |d2-2|)*max|U_j| + q*max|U_{j-1}|, the bound of <U_a, U_b>_F is
-n^2*max|U_a|*max|U_b|, and that of tr U_1 is n*max|U_1|.
+n^2*max|U_a|*max|U_b|, and that of tr U_k is n*max|U_k|.
 """
 
 from __future__ import annotations
@@ -227,6 +229,11 @@ def _u_matrices(g: BiregularGraph, kmax: int):
         yield cur, cur_max
 
 
+def _frobenius(a, b, dtype) -> int:
+    """<a, b>_F summed in dtype; exact when dtype holds every partial sum."""
+    return int(np.einsum("ij,ij->", a, b, dtype=dtype, casting="unsafe"))
+
+
 def walk_counts(g: BiregularGraph, kmax: int) -> tuple:
     """([NBW_1..NBW_kmax], [CNBW_1..CNBW_kmax]) as exact ints, from the traces
     t_k = tr U_k (t_0 = n, t_{-1} = 0):
@@ -234,38 +241,35 @@ def walk_counts(g: BiregularGraph, kmax: int) -> tuple:
     NBW_k = t_k + (d2-2)*t_{k-1} - (d2-1)*t_{k-2},
     CNBW_k = t_k - q*t_{k-2} + cnbw_constant(k).
 
-    The recurrence runs to ceil(kmax/2) only, holding two matrices at a time.
-    The product identity U_aU_b = sum_{i<=min(a,b)} q^i U_{a+b-2i} gives
-    each trace from the two newest: t_1 = tr U_1, and as U_j arrives
+    The recurrence runs to h = ceil(kmax/2) only, holding two matrices at a
+    time.  Each t_k with k <= h is read off U_k as it arrives.  Each t_k with
+    h < k <= kmax comes from one Frobenius product of the two newest
+    matrices, by the product identity U_aU_b = sum_{i<=min(a,b)} q^i U_{a+b-2i}:
 
-    t_{2j-1} = <U_j, U_{j-1}>_F - sum_{i=1..j-1} q^i t_{2j-1-2i}  (j >= 2),
-    t_{2j}   = <U_j, U_j>_F     - sum_{i=1..j}   q^i t_{2j-2i}.
+    t_{2j-1} = <U_j, U_{j-1}>_F - sum_{i=1..j-1} q^i t_{2j-1-2i},
+    t_{2j}   = <U_j, U_j>_F     - sum_{i=1..j}   q^i t_{2j-2i},
 
-    Each product <U_a, U_b> runs in the tier of n^2*max|U_a|*max|U_b|, and
-    the trace in that of n*max|U_1|.
+    with the corrections applied after the recurrence, in increasing k.  That
+    is floor(kmax/2) products.  Each trace tr U_k runs in the tier of
+    n*max|U_k|, and each product <U_a, U_b> in that of n^2*max|U_a|*max|U_b|.
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    q = g.q
-    t = [g.n]
-
-    def product_trace(a, b, top):
-        """t_k, k = len(t), from <U_a, U_b>_F with n^2*max|U_a|*max|U_b| = top."""
-        # no U_j is 0 (its eigenvalue at B's top eigenvalue q + 1 is positive),
-        # so top bounds every entry and the cast into its tier is exact
-        dot = np.einsum("ij,ij->", a, b, dtype=_tier(top), casting="unsafe")
-        k = len(t)
-        t.append(int(dot) - sum(q**i * t[k - 2 * i] for i in range(1, k // 2 + 1)))
-
+    n, q, h = g.n, g.q, (kmax + 1) // 2
+    t = [n]
+    products = {}  # k = a + b: <U_a, U_b>_F, for h < k <= kmax
     prev = prev_max = None
-    for j, (u, top) in enumerate(_u_matrices(g, (kmax + 1) // 2), start=1):
-        if j == 1:
-            t.append(int(np.trace(u, dtype=_tier(g.n * top))))
-        else:
-            product_trace(u, prev, g.n**2 * top * prev_max)
-        if 2 * j <= kmax:
-            product_trace(u, u, g.n**2 * top * top)
+    for j, (u, top) in enumerate(_u_matrices(g, h), start=1):
+        t.append(int(np.trace(u, dtype=_tier(n * top))))
+        # no U_j is 0 (its eigenvalue at B's top eigenvalue q + 1 is positive),
+        # so each bound below covers every entry and the cast into its tier is exact
+        if 2 * j - 1 > h:
+            products[2 * j - 1] = _frobenius(u, prev, _tier(n * n * top * prev_max))
+        if h < 2 * j <= kmax:
+            products[2 * j] = _frobenius(u, u, _tier(n * n * top * top))
         prev, prev_max = u, top
+    for k in range(h + 1, kmax + 1):
+        t.append(products[k] - sum(q**i * t[k - 2 * i] for i in range(1, k // 2 + 1)))
     rows = list(zip(range(1, kmax + 1), t[1:], t, [0] + t[:-2]))  # (k, t_k, t_{k-1}, t_{k-2})
     nbw = [tk + (g.d2 - 2) * tk1 - (g.d2 - 1) * tk2 for _, tk, tk1, tk2 in rows]
     cnbw = [tk - q * tk2 + cnbw_constant(k, g.n, g.d1, g.d2) for k, tk, _, tk2 in rows]

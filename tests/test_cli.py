@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -388,6 +390,44 @@ def test_identity_runs_the_walk_recurrence_once(tmp_path, recurrence_calls):
     assert run(["identity", "--in", str(g), "--kmax", "14", "--out", str(out)]) == 0
     assert recurrence_calls == [7]
     assert len(out.read_text().splitlines()) == 15
+
+
+# one dispatch call in a process of its own
+ALONE = "import sys\nfrom bireg.cli import dispatch\nsys.exit(dispatch(sys.argv[1:]))\n"
+
+
+def test_one_process_runs_a_mix_of_calls_as_each_alone(tmp_path, capsys, monkeypatch):
+    # dispatch builds its parser once per process; a mix of calls, failed
+    # ones among them, prints and exits as each call does in a fresh process
+    g, bad, config = tmp_path / "g.json", tmp_path / "bad.json", tmp_path / "config.json"
+    assert run(["sample", "--n", "12", "--m", "12", "--d1", "3", "--d2", "3", "--seed", "1", "--out", str(g)]) == 0
+    bad.write_text(json.dumps({"n": 2, "m": 2, "d1": 2, "d2": 2, "edges": [[0, 0], [0, 1], [1, 0], [1, 2]]}))
+    config.write_text(json.dumps({"experiment": "poisson", "seed": 4, "params": POISSON_PARAMS}))
+    calls = [
+        ["walks", "--in", str(g), "--r", "4"],
+        ["walks"],  # a usage error: no --in
+        ["experiment", "--config", str(config)],
+        ["walks", "--in", str(bad)],  # a BiregError: edge out of range
+        ["walks", "--in", str(g), "--r", "4"],
+    ]
+    capsys.readouterr()
+    cli._parser.cache_clear()
+    builds = counting(monkeypatch, cli, "build_parser")
+    mixed = []
+    for argv in calls:
+        try:
+            code = dispatch(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        mixed.append((code, captured.out, captured.err))
+    assert len(builds) == 1
+    assert [code for code, _, _ in mixed] == [0, 2, 0, 1, 0]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for argv, result in zip(calls, mixed):
+        done = subprocess.run([sys.executable, "-c", ALONE, *argv], env=env, capture_output=True, text=True, timeout=300)
+        assert (done.returncode, done.stdout, done.stderr) == result, argv
 
 
 def counting(monkeypatch, module, name):

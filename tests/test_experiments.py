@@ -408,6 +408,27 @@ WORKER_CONFIGS = {
 }
 
 
+def test_a_builtin_expansion_is_fitted_once_per_process(monkeypatch):
+    # the fit is cached by (name, d1, d2); ChebExpansion is frozen, so two
+    # runs share one fitted expansion and report the same bytes
+    fits = []
+    fit = experiments.chebyshev.fit_expansion
+
+    def counted(*args, **kwargs):
+        fits.append(kwargs)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiments.chebyshev, "fit_expansion", counted)
+    experiments._fitted_builtin.cache_clear()
+    config = {"experiment": "fluctuation-fixed", "seed": 3,
+              "params": {"n": 30, "d1": 3, "d2": 3, "expansion": "exp", "samples": 3}}
+    reports = [json.dumps(run_experiment(config).to_dict()) for _ in range(2)]
+    assert reports[0] == reports[1]
+    assert fits == [{"basis": "phi", "d1": 3, "d2": 3}]
+    run_experiment(dict(config, params=dict(config["params"], d1=4, d2=4)))
+    assert len(fits) == 2
+
+
 def _reports(tmp_path, monkeypatch, config, workers_list):
     """The report bytes of config run with each worker count in turn."""
     reports = []

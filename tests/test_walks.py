@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bireg import walks
 from bireg.errors import TooLarge
 from bireg.graph import complete_bipartite
 from bireg.sampler import SamplerConfig, sample_graph, trial_rng
@@ -318,6 +319,44 @@ def test_nbw_counts_are_reference_traces_at_every_horizon(name):
     cnbw = tail_recursion_cnbw(g, traces)
     for kmax in range(top + 1):
         assert walk_counts(g, kmax) == (traces[:kmax], cnbw[:kmax]), f"kmax={kmax}"
+
+
+def test_late_traces_in_python_ints_are_reference_traces(monkeypatch):
+    # on K_{3,3}, n*max|U_h| passes 2^62 once h >= 31, so these horizons read
+    # their last traces in the object tier, which no TRACE_GRAPHS horizon reaches
+    g, top = complete_bipartite(3, 3), 64
+    ref = reference_recurrence(g, top)
+    traces = [sum(ref[k][i][i] for i in range(g.n)) for k in range(1, top + 1)]
+    cnbw = tail_recursion_cnbw(g, traces)
+    tiers = []
+    trace = np.trace
+
+    def counted(u, dtype):
+        tiers.append(dtype)
+        return trace(u, dtype=dtype)
+
+    monkeypatch.setattr(np, "trace", counted)
+    for kmax in range(61, top + 1):
+        assert walk_counts(g, kmax) == (traces[:kmax], cnbw[:kmax]), f"kmax={kmax}"
+    assert object in tiers
+
+
+def test_walk_counts_forms_floor_half_kmax_frobenius_products(monkeypatch):
+    # the recurrence builds U_1..U_h, h = ceil(kmax/2), and t_k for k <= h is
+    # the trace of U_k; only each t_k with h < k <= kmax takes a product
+    g = sample_graph(60, 60, 3, 3, SamplerConfig(), trial_rng(0, 0))
+    products = []
+    frobenius = walks._frobenius
+
+    def counted(a, b, dtype):
+        products.append(dtype)
+        return frobenius(a, b, dtype)
+
+    monkeypatch.setattr(walks, "_frobenius", counted)
+    for kmax in range(17):
+        products.clear()
+        walk_counts(g, kmax)
+        assert len(products) == kmax // 2, f"kmax={kmax}"
 
 
 # ---- independent oracle -----------------------------------------------------

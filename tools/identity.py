@@ -7,9 +7,11 @@ Checks out <rev> in a temporary git worktree, then runs a fixed list of
 outputs once on each tree, each in a fresh Python process with PYTHONPATH on
 that tree's src/: all four experiments on both samplers at 1 and 2 workers,
 one ``poisson`` run large enough that its 2-worker run forks a child,
-``walks`` tables, ``hypergraph check``, ``switchings`` tables, forward and
-backward ``valid_switchings`` spec lists of criterion-9 and sparse (2,2)
-graphs, forward lists of a (12,8,2,3) graph's 6-cycles, ``sample`` JSON,
+``walks`` tables, ``walk_counts`` lists at every horizon up to 16 on three
+sampled graphs and up to 40 on K_{3,3} (whose products pass every tier),
+``hypergraph check``, ``switchings`` tables, forward and backward
+``valid_switchings`` spec lists of criterion-9 and sparse (2,2) graphs,
+forward lists of a (12,8,2,3) graph's 6-cycles, ``sample`` JSON,
 ``spectrum`` output and ``spectrum --density`` curves.  The child process
 sets its worker count through its CPU affinity; on a 1-CPU host the 2-worker
 runs are skipped.
@@ -113,6 +115,21 @@ for t in range(5):
             print("backward", r, alpha.vertices, [spec(s) for s in valid_switchings(g, alpha, r, "backward")])
 """
 
+# walk_counts(g, k) at every k up to each graph's horizon: traces from int16
+# to int64, and Frobenius products of every tier, int16 to Python ints on K_{3,3}
+WALK_COUNTS = """
+from bireg.graph import complete_bipartite
+from bireg.sampler import SamplerConfig, sample_graph, trial_rng
+from bireg.walks import walk_counts
+
+shapes = ((300, 300, 3, 3, 0), (120, 90, 3, 4, 3), (100, 100, 8, 8, 2))
+graphs = [(sample_graph(n, m, d1, d2, SamplerConfig(), trial_rng(seed, 0)), 16) for n, m, d1, d2, seed in shapes]
+for g, top in graphs + [(complete_bipartite(3, 3), 40)]:
+    for k in range(top + 1):
+        print(g.n, g.m, g.d1, g.d2, k, walk_counts(g, k))
+"""
+
+
 def outputs() -> list:
     """(name, workers, code) of every output, in report order."""
     out = []
@@ -128,6 +145,7 @@ def outputs() -> list:
         out.append((f"sample {method}", 1, code))
     for r in (1, 3, 5):
         out.append((f"walks r={r}", 1, SAMPLE + f'run("walks", "--in", "g.json", "--r", {r})'))
+    out.append(("walk_counts at every horizon", 1, WALK_COUNTS))
     out.append(("spectrum eigenvalues", 1, SAMPLE + 'run("spectrum", "--in", "g.json")'))
     out.append(("spectrum histogram", 1, SAMPLE + 'run("spectrum", "--in", "g.json", "--bins", 20)'))
     out.append(("identity residuals", 1, SAMPLE + 'run("identity", "--in", "g.json", "--kmax", 8)'))
